@@ -15,22 +15,22 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .gf2 import (
+    SIZE_GUARD_BITS,
     GF2Vector,
     LinearMap,
     SizeGuardError,
     _apply_rows,
     _check_guard,
-    _invert_rows,
-    _cols_to_rows,
     _rank_of_bits,
+    _section_columns,
+    _span,
     _xor_select,
+    all_matrices,
     batch_apply_bits,
     byte_apply_tables,
-    complement_basis,
     compose,
     is_surjective,
     kernel_basis,
@@ -119,38 +119,60 @@ def chi_square_sf(stat: float, df: int) -> float:
 
 @dataclass(frozen=True)
 class BallSet:
-    """A deduplicated set of u-bit vectors plus provenance for outputs."""
+    """A deduplicated set of packed u-bit vectors plus provenance for outputs.
+
+    basis_bits spans the set (subspace, affine) or its core (cluster), and
+    shift_bits is the coset offset of an affine set.  `members`, `basis` and
+    `shift` are GF2Vector views of the packed fields.
+    """
 
     universe_dim: int
-    members: tuple[GF2Vector, ...]
+    member_bits: tuple[int, ...]
     kind: str
-    basis: tuple[GF2Vector, ...] | None = None
-    shift: GF2Vector | None = None
+    basis_bits: tuple[int, ...] | None = None
+    shift_bits: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.members:
+        bits = self.member_bits
+        if not bits:
             raise ValueError("a ball set needs at least one member")
-        seen = set()
-        for v in self.members:
-            if v.dim != self.universe_dim:
-                raise ValueError(f"member dim {v.dim} != universe {self.universe_dim}")
-            if v.bits in seen:
-                raise ValueError(f"duplicate member {v}")
-            seen.add(v.bits)
+        if min(bits) < 0 or max(bits) >> self.universe_dim:
+            raise ValueError(f"member out of range for universe dim {self.universe_dim}")
+        if len(set(bits)) != len(bits):
+            raise ValueError("ball set members must be distinct")
 
-    @cached_property
-    def member_bits(self) -> tuple[int, ...]:
-        return tuple(v.bits for v in self.members)
+    @classmethod
+    def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],
+                     kind: str) -> "BallSet":
+        for v in members:
+            if v.dim != universe_dim:
+                raise ValueError(f"member dim {v.dim} != universe {universe_dim}")
+        return cls(universe_dim, tuple(v.bits for v in members), kind)
+
+    @property
+    def members(self) -> tuple[GF2Vector, ...]:
+        return tuple(GF2Vector(self.universe_dim, x) for x in self.member_bits)
+
+    @property
+    def basis(self) -> tuple[GF2Vector, ...] | None:
+        if self.basis_bits is None:
+            return None
+        return tuple(GF2Vector(self.universe_dim, v) for v in self.basis_bits)
+
+    @property
+    def shift(self) -> GF2Vector | None:
+        s = self.shift_bits
+        return None if s is None else GF2Vector(self.universe_dim, s)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.member_bits)
 
     @property
     def descriptor(self) -> str:
         params = f"u={self.universe_dim},size={self.size}"
-        if self.basis is not None:
-            params += f",dim={len(self.basis)}"
+        if self.basis_bits is not None:
+            params += f",dim={len(self.basis_bits)}"
         return f"{self.kind}({params})"
 
 
@@ -208,37 +230,28 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
         raise ValueError(f"set kind {kind!r} requires an rng")
 
     if kind == "interval":
-        members = tuple(GF2Vector(universe_dim, x) for x in range(size))
-        return BallSet(universe_dim, members, kind)
+        return BallSet(universe_dim, tuple(range(size)), kind)
 
     if kind == "random":
-        bits = _sample_distinct(universe_dim, size, rng)
-        return BallSet(universe_dim, tuple(GF2Vector(universe_dim, x) for x in bits), kind)
+        return BallSet(universe_dim, tuple(_sample_distinct(universe_dim, size, rng)), kind)
 
     if kind in ("subspace", "affine"):
         _check_guard(dim, "subspace enumeration")
-        basis_bits = _sample_independent(universe_dim, dim, rng)
-        span = [0]
-        for v in basis_bits:
-            span.extend(w ^ v for w in list(span))
-        shift_bits = rng.getrandbits(universe_dim) if kind == "affine" else 0
-        members = tuple(GF2Vector(universe_dim, x ^ shift_bits) for x in span)
-        basis = tuple(GF2Vector(universe_dim, v) for v in basis_bits)
-        shift = GF2Vector(universe_dim, shift_bits) if kind == "affine" else None
-        return BallSet(universe_dim, members, kind, basis=basis, shift=shift)
+        basis_bits = tuple(_sample_independent(universe_dim, dim, rng))
+        if kind == "subspace":
+            return BallSet(universe_dim, tuple(_span(basis_bits)), kind, basis_bits)
+        shift_bits = rng.getrandbits(universe_dim)
+        members = tuple(x ^ shift_bits for x in _span(basis_bits))
+        return BallSet(universe_dim, members, kind, basis_bits, shift_bits)
 
     # cluster: a low-dimensional core subspace plus random distinct noise
     core_dim = min(universe_dim, max(0, (size.bit_length() - 1) // 2))
     while (1 << core_dim) > size:
         core_dim -= 1
-    basis_bits = _sample_independent(universe_dim, core_dim, rng)
-    span = [0]
-    for v in basis_bits:
-        span.extend(w ^ v for w in list(span))
+    basis_bits = tuple(_sample_independent(universe_dim, core_dim, rng))
+    span = _span(basis_bits)
     noise = _sample_distinct(universe_dim, size - len(span), rng, frozenset(span))
-    members = tuple(GF2Vector(universe_dim, x) for x in span + noise)
-    return BallSet(universe_dim, members, "cluster",
-                   basis=tuple(GF2Vector(universe_dim, v) for v in basis_bits))
+    return BallSet(universe_dim, tuple(span + noise), kind, basis_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +324,8 @@ def _check_event_args(S: BallSet, T0: LinearMap, T1: LinearMap) -> None:
         )
     if T1.in_dim < T1.out_dim:
         raise ValueError("intermediate dimension must be >= output dimension")
+    if not T1.is_linear:
+        raise ValueError("outer map must be linear")
     if not is_surjective(T1):
         raise ValueError("outer map must be surjective")
     if T1.in_dim > EVENT_DIM_CAP:
@@ -352,13 +367,8 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
 
 def _fiber_bits(T1: LinearMap, label_bits: int) -> list[int]:
     """All intermediate points the outer map sends to the given label."""
-    ker1 = kernel_basis(T1)
-    comp1 = complement_basis(ker1)
-    comp1_bits = [v.bits for v in comp1.basis]
-    v_cols = [T1.apply_bits(c) for c in comp1_bits]
-    vinv = _invert_rows(_cols_to_rows(v_cols, T1.out_dim), T1.out_dim)
-    particular = _xor_select(comp1_bits, _apply_rows(vinv, label_bits))
-    return [particular ^ k for k in ker1.span_bits()]
+    particular = _xor_select(_section_columns(T1), label_bits)
+    return [particular ^ k for k in kernel_basis(T1).span_bits()]
 
 
 def event_e2_direct(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
@@ -588,20 +598,9 @@ def exact_lbin_distribution(universe_dim: int, bin_dim: int,
     if S.universe_dim != universe_dim:
         raise ValueError("ball set universe does not match")
     _check_guard(universe_dim * bin_dim, "map enumeration")
-    mask = (1 << universe_dim) - 1
-    bits = S.member_bits
-    dist: dict[int, int] = {}
-    for m in range(1 << (universe_dim * bin_dim)):
-        rows = [(m >> (i * universe_dim)) & mask for i in range(bin_dim)]
-        tally: dict[int, int] = {}
-        best = 0
-        for x in bits:
-            y = _apply_rows(rows, x)
-            c = tally.get(y, 0) + 1
-            tally[y] = c
-            if c > best:
-                best = c
-        dist[best] = dist.get(best, 0) + 1
+    dist: Counter[int] = Counter()
+    for rows in all_matrices(universe_dim, bin_dim):
+        dist[max(Counter([_apply_rows(rows, x) for x in S.member_bits]).values())] += 1
     return dist
 
 
@@ -652,11 +651,11 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     2^k balls where k is that intersection's dimension, and the zero label
     always realizes the maximum.
     """
-    if S.kind != "subspace" or S.basis is None:
+    if S.kind != "subspace" or S.basis_bits is None:
         raise ValueError("ball set must be a subspace kind with a stored basis")
     _check_map_vs_set(T, S)
-    span_bits = [v.bits for v in S.basis]
-    ker_bits = [v.bits for v in kernel_basis(T).basis]
+    span_bits = S.basis_bits
+    ker_bits = kernel_basis(T).basis_bits
     sum_rank = _rank_of_bits(span_bits + ker_bits)
     k = len(span_bits) + len(ker_bits) - sum_rank
     expected = 1 << k
@@ -694,6 +693,15 @@ class PairwiseReport:
     ok: bool
 
 
+def _pair_at(n_keys: int, index: int) -> tuple[int, int]:
+    """The index-th pair (a, b), a < b < n_keys, in lexicographic order."""
+    # Counted from the last pair, the pairs starting at n_keys-1-m occupy
+    # positions C(m, 2) .. C(m+1, 2) - 1.
+    r = n_keys * (n_keys - 1) // 2 - 1 - index
+    m = (1 + math.isqrt(8 * r + 1)) // 2
+    return n_keys - 1 - m, n_keys - 1 - (r - m * (m - 1) // 2)
+
+
 def pairwise_independence_check(universe_dim: int, bin_dim: int,
                                 mode: str = "auto",
                                 rng: random.Random | None = None,
@@ -702,77 +710,60 @@ def pairwise_independence_check(universe_dim: int, bin_dim: int,
     """Joint distribution check for random affine maps on key pairs.
 
     For distinct keys x1 != x2 the pair (h(x1), h(x2)) must be uniform over
-    all label pairs.  Exact mode enumerates every (matrix, offset) choice and
-    demands exact equality; sampling mode draws maps and compares cell
-    frequencies against a loose z-score gate.
+    all label pairs.  Exact mode enumerates every (matrix, offset) choice on
+    every key pair and demands exact equality; it refuses above 2^16 maps or
+    2^SIZE_GUARD_BITS (map, pair) combinations.  Sampling mode draws maps and
+    compares cell frequencies on at most max_pairs pairs against a loose
+    z-score gate.
     """
-    total_bits = universe_dim * bin_dim + bin_dim
     if mode not in ("auto", "exact", "sampling"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and total_bits > 16:
+    total_bits = universe_dim * bin_dim + bin_dim
+    n_keys = 1 << universe_dim
+    n_pairs = n_keys * (n_keys - 1) // 2
+    exact_fits = total_bits <= 16 and n_pairs << total_bits <= 1 << SIZE_GUARD_BITS
+    if mode == "exact" and not exact_fits:
         raise SizeGuardError(
-            f"exact mode enumerates 2^{total_bits} affine maps (cap is 2^16)"
+            f"exact mode enumerates 2^{total_bits} affine maps on {n_pairs} key pairs "
+            f"(caps are 2^16 maps and 2^{SIZE_GUARD_BITS} map-pair combinations)"
         )
     if mode == "auto":
-        mode = "exact" if total_bits <= 16 else "sampling"
+        mode = "exact" if exact_fits else "sampling"
 
     expected = 2.0 ** (-2 * bin_dim)
-    n_keys = 1 << universe_dim
-    pairs = [(a, b) for a in range(n_keys) for b in range(a + 1, n_keys)]
-
-    if mode == "exact":
-        mask = (1 << universe_dim) - 1
-        n_maps = 1 << total_bits
-        cells = {
-            pair: [0] * (1 << (2 * bin_dim)) for pair in pairs
-        }
-        for m in range(n_maps):
-            rows = [
-                (m >> (i * universe_dim)) & mask for i in range(bin_dim)
-            ]
-            offset = m >> (universe_dim * bin_dim)
-            images = [_apply_rows(rows, x) ^ offset for x in range(n_keys)]
-            for pair, tally in cells.items():
-                tally[(images[pair[0]] << bin_dim) | images[pair[1]]] += 1
-        target = n_maps * expected
-        max_err = max(
-            abs(c - target) / n_maps
-            for tally in cells.values()
-            for c in tally
-        )
-        return PairwiseReport(
-            mode="exact",
-            universe_dim=universe_dim,
-            bin_dim=bin_dim,
-            pairs_checked=len(pairs),
-            cells_checked=len(pairs) * (1 << (2 * bin_dim)),
-            expected=expected,
-            max_abs_error=max_err,
-            tolerance=0.0,
-            ok=(max_err == 0.0),
-        )
-
     rng = rng if rng is not None else random.Random(0)
-    if len(pairs) > max_pairs:
-        pairs = rng.sample(pairs, max_pairs)
-    tallies = {pair: [0] * (1 << (2 * bin_dim)) for pair in pairs}
-    for _ in range(samples):
-        h = sample_uniform_affine(universe_dim, bin_dim, rng)
-        for pair, tally in tallies.items():
-            tally[(h.apply_bits(pair[0]) << bin_dim) | h.apply_bits(pair[1])] += 1
+    if mode == "sampling" and n_pairs > max_pairs:
+        indices = rng.sample(range(n_pairs), max_pairs)
+    else:
+        indices = range(n_pairs)
+    tallies = {_pair_at(n_keys, i): [0] * (1 << (2 * bin_dim)) for i in indices}
+    if mode == "exact":
+        draws = 1 << total_bits
+        for offset in range(1 << bin_dim):
+            for rows in all_matrices(universe_dim, bin_dim):
+                images = [_apply_rows(rows, x) ^ offset for x in range(n_keys)]
+                for (a, b), tally in tallies.items():
+                    tally[(images[a] << bin_dim) | images[b]] += 1
+        tolerance = 0.0
+    else:
+        draws = samples
+        for _ in range(samples):
+            h = sample_uniform_affine(universe_dim, bin_dim, rng)
+            for (a, b), tally in tallies.items():
+                tally[(h.apply_bits(a) << bin_dim) | h.apply_bits(b)] += 1
+        # 5 sigma on a binomial cell keeps false alarms negligible across cells
+        tolerance = 5.0 * math.sqrt(expected * (1 - expected) / samples)
     max_err = max(
-        abs(c / samples - expected)
+        abs(c / draws - expected)
         for tally in tallies.values()
         for c in tally
     )
-    # 5 sigma on a binomial cell keeps false alarms negligible across cells
-    tolerance = 5.0 * math.sqrt(expected * (1 - expected) / samples)
     return PairwiseReport(
-        mode="sampling",
+        mode=mode,
         universe_dim=universe_dim,
         bin_dim=bin_dim,
-        pairs_checked=len(pairs),
-        cells_checked=len(pairs) * (1 << (2 * bin_dim)),
+        pairs_checked=len(tallies),
+        cells_checked=len(tallies) * (1 << (2 * bin_dim)),
         expected=expected,
         max_abs_error=max_err,
         tolerance=tolerance,

@@ -5,8 +5,8 @@ version, timestamp).  Data rows are a pure function of the manifest, so a
 rerun with the same flags and seed is byte-identical; only the manifest line
 carries the timestamp.
 
-Exit codes: 0 success, 1 usage error, 2 size-guard refusal, 3 verification
-failure.
+Exit codes: 0 success, 1 usage or arithmetic error, 2 size-guard refusal,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
+    all_matrices,
     compose,
     count_factorizations,
     rank,
@@ -349,14 +350,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _all_linear_maps(in_dim, out_dim):
-    mask = (1 << in_dim) - 1
-    for m in range(1 << (in_dim * out_dim)):
-        yield LinearMap.from_row_bits(
-            in_dim, [(m >> (i * in_dim)) & mask for i in range(out_dim)]
-        )
-
-
 def _check_composition_uniformity(seed, samples, inject_fault):
     u, f, b = 2, 2, 1
     rng = substream(seed, "verify", "composition")
@@ -368,7 +361,7 @@ def _check_composition_uniformity(seed, samples, inject_fault):
         if inject_fault:
             key = (key[0] | 1,) + key[1:]  # stuck bit collapses half the maps
         tally[key] += 1
-    cells = [T.row_bits for T in _all_linear_maps(u, b)]
+    cells = list(all_matrices(u, b))
     observed = [tally.get(c, 0) for c in cells]
     expected = [samples / len(cells)] * len(cells)
     stat = chi_square_statistic(observed, expected)
@@ -381,8 +374,9 @@ def _check_factorization_count(seed, dims):
     mismatches = 0
     cases = 0
     for u, f, b in dims:
-        surjective = [T1 for T1 in _all_linear_maps(f, b) if is_surjective(T1)]
-        for T in _all_linear_maps(u, b):
+        outer = (LinearMap(f, b, rows) for rows in all_matrices(f, b))
+        surjective = [T1 for T1 in outer if is_surjective(T1)]
+        for T in (LinearMap(u, b, rows) for rows in all_matrices(u, b)):
             want = 1 << ((f - b) * (u - rank(T)))
             for T1 in surjective:
                 cases += 1
@@ -559,8 +553,7 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def build_parser(config_defaults: dict | None = None,
-                 target_subcommand: str | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="linbins", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -635,33 +628,51 @@ def build_parser(config_defaults: dict | None = None,
     sp.set_defaults(func=cmd_table_bench)
 
     parser.subparsers = sub.choices
-    if config_defaults and target_subcommand:
-        for action in sub.choices[target_subcommand]._actions:
-            dest = action.dest
-            if dest in config_defaults:
-                sub.choices[target_subcommand].set_defaults(
-                    **{dest: config_defaults[dest]}
-                )
     return parser
 
 
+def _config_argv(actions, path: str) -> list[str]:
+    """The flags a JSON config file holds, spelled as they would be typed.
+
+    Parsed as flags, config values get the same type and choice checks as
+    typed ones.  Lists are joined with commas; null leaves a flag unset.
+    """
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = {a.dest: a for a in actions if a.dest != "help"}
+    unknown = set(values) - set(flags)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    argv = []
+    for dest, value in values.items():
+        flag = flags[dest].option_strings[-1]
+        if value is None:
+            continue
+        if flags[dest].nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {dest!r} must be true or false")
+            argv += [flag] if value else []
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv.append(f"{flag}={value}")
+    return argv
+
+
 def parse_args(argv=None) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise UsageError("config file must hold a JSON object")
-        known = {a.dest for a in parser.subparsers[args.subcommand]._actions}
-        unknown = set(defaults) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        coerced = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in defaults.items()
-        }
-        parser = build_parser(coerced, args.subcommand)
-        args = parser.parse_args(argv)
+        actions = parser.subparsers[args.subcommand]._actions
+        at = argv.index(args.subcommand) + 1
+        # Config flags go first, so that explicit flags override them.
+        args = parser.parse_args(argv[:at] + _config_argv(actions, args.config) + argv[at:])
     return args
 
 
@@ -677,6 +688,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # float overflow, failed bound instantiation
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,8 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors are Python ints used as bitsets (bit i = coordinate i), wrapped in
-GF2Vector for dimension safety.  Matrices are stored row-major as packed
+Vectors are Python ints used as bitsets (bit i = coordinate i).  Maps and
+subspaces store them as ints; GF2Vector pairs one with its dimension where
+callers pass or receive vectors.  Matrices are stored row-major as packed
 words; applying a map is one AND plus a popcount parity per output bit.
 """
 
@@ -84,27 +85,26 @@ class GF2Vector:
 class LinearMap:
     """A map x -> Ax (+ a) between bit-vector spaces.
 
-    rows[i] is row i of the matrix A; translation is the optional affine
-    offset a (None means a linear map, a = 0).
+    row_bits[i] is row i of the matrix A, packed (bit j = column j);
+    translation_bits is the optional affine offset a (None means a linear
+    map, a = 0).  `rows` and `translation` are GF2Vector views of them.
     """
 
     in_dim: int
     out_dim: int
-    rows: tuple[GF2Vector, ...]
-    translation: GF2Vector | None = None
+    row_bits: tuple[int, ...]
+    translation_bits: int | None = None
 
     def __post_init__(self) -> None:
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("map dimensions must be >= 1")
-        if len(self.rows) != self.out_dim:
-            raise ValueError(f"expected {self.out_dim} rows, got {len(self.rows)}")
-        for r in self.rows:
-            if r.dim != self.in_dim:
-                raise ValueError(f"row dim {r.dim} != in_dim {self.in_dim}")
-        if self.translation is not None and self.translation.dim != self.out_dim:
-            raise ValueError(
-                f"translation dim {self.translation.dim} != out_dim {self.out_dim}"
-            )
+        if len(self.row_bits) != self.out_dim:
+            raise ValueError(f"expected {self.out_dim} rows, got {len(self.row_bits)}")
+        if min(self.row_bits) < 0 or max(self.row_bits) >> self.in_dim:
+            raise ValueError(f"row bits not canonical for in_dim {self.in_dim}")
+        t = self.translation_bits
+        if t is not None and (t < 0 or t >> self.out_dim):
+            raise ValueError(f"translation 0x{t:x} not canonical for out_dim {self.out_dim}")
 
     @classmethod
     def from_rows(
@@ -112,7 +112,16 @@ class LinearMap:
     ) -> "LinearMap":
         if not rows:
             raise ValueError("a map needs at least one row")
-        return cls(rows[0].dim, len(rows), tuple(rows), translation)
+        in_dim = rows[0].dim
+        for r in rows:
+            if r.dim != in_dim:
+                raise ValueError(f"row dim {r.dim} != in_dim {in_dim}")
+        if translation is not None and translation.dim != len(rows):
+            raise ValueError(
+                f"translation dim {translation.dim} != out_dim {len(rows)}"
+            )
+        return cls(in_dim, len(rows), tuple(r.bits for r in rows),
+                   None if translation is None else translation.bits)
 
     @classmethod
     def from_row_bits(
@@ -121,13 +130,7 @@ class LinearMap:
         row_bits: Sequence[int],
         translation_bits: int | None = None,
     ) -> "LinearMap":
-        rows = tuple(GF2Vector(in_dim, r) for r in row_bits)
-        trans = (
-            None
-            if translation_bits is None
-            else GF2Vector(len(row_bits), translation_bits)
-        )
-        return cls(in_dim, len(row_bits), rows, trans)
+        return cls(in_dim, len(row_bits), tuple(row_bits), translation_bits)
 
     @classmethod
     def from_column_bits(
@@ -137,31 +140,31 @@ class LinearMap:
         col_bits: Sequence[int],
         translation_bits: int | None = None,
     ) -> "LinearMap":
-        rows = _cols_to_rows(col_bits, out_dim)
-        trans = None if translation_bits is None else translation_bits
-        return cls.from_row_bits(in_dim, rows, trans)
+        rows = tuple(_transpose(col_bits, out_dim))
+        return cls(in_dim, out_dim, rows, translation_bits)
+
+    @property
+    def rows(self) -> tuple[GF2Vector, ...]:
+        return tuple(GF2Vector(self.in_dim, r) for r in self.row_bits)
+
+    @property
+    def translation(self) -> GF2Vector | None:
+        t = self.translation_bits
+        return None if t is None else GF2Vector(self.out_dim, t)
 
     @property
     def is_linear(self) -> bool:
-        return self.translation is None or self.translation.bits == 0
-
-    @cached_property
-    def row_bits(self) -> tuple[int, ...]:
-        return tuple(r.bits for r in self.rows)
+        return not self.translation_bits
 
     @cached_property
     def column_bits(self) -> tuple[int, ...]:
         """column_bits[j] is the packed image of the j-th standard basis vector."""
-        return tuple(_rows_to_cols(self.row_bits, self.in_dim))
+        return tuple(_transpose(self.row_bits, self.in_dim))
 
     def apply_bits(self, xbits: int) -> int:
         """Apply to a packed input, returning packed output bits."""
-        out = 0
-        for i, row in enumerate(self.row_bits):
-            out |= ((row & xbits).bit_count() & 1) << i
-        if self.translation is not None:
-            out ^= self.translation.bits
-        return out
+        out = _apply_rows(self.row_bits, xbits)
+        return out if self.translation_bits is None else out ^ self.translation_bits
 
     def apply(self, x: GF2Vector) -> GF2Vector:
         if x.dim != self.in_dim:
@@ -170,44 +173,48 @@ class LinearMap:
 
     __call__ = apply
 
-    def drop_translation(self) -> "LinearMap":
-        """The linear part of this map."""
-        if self.translation is None:
-            return self
-        return LinearMap(self.in_dim, self.out_dim, self.rows, None)
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Linearly independent vectors spanning a subspace (possibly empty)."""
+    """Linearly independent packed vectors spanning a subspace (possibly empty).
+
+    `basis` is a GF2Vector view of basis_bits.
+    """
 
     ambient_dim: int
-    basis: tuple[GF2Vector, ...]
+    basis_bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        for v in self.basis:
-            if v.dim != self.ambient_dim:
-                raise ValueError(f"basis vector dim {v.dim} != ambient {self.ambient_dim}")
-        if _rank_of_bits([v.bits for v in self.basis]) != len(self.basis):
+        for v in self.basis_bits:
+            if v < 0 or v >> self.ambient_dim:
+                raise ValueError(
+                    f"basis vector 0x{v:x} not canonical for ambient dim {self.ambient_dim}"
+                )
+        if _rank_of_bits(self.basis_bits) != len(self.basis_bits):
             raise ValueError("basis vectors are not linearly independent")
+
+    @classmethod
+    def from_vectors(cls, ambient_dim: int,
+                     vectors: Sequence[GF2Vector]) -> "SubspaceBasis":
+        for v in vectors:
+            if v.dim != ambient_dim:
+                raise ValueError(f"basis vector dim {v.dim} != ambient {ambient_dim}")
+        return cls(ambient_dim, tuple(v.bits for v in vectors))
+
+    @property
+    def basis(self) -> tuple[GF2Vector, ...]:
+        return tuple(GF2Vector(self.ambient_dim, v) for v in self.basis_bits)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_bits)
 
     def span_bits(self) -> list[int]:
         """All packed vectors in the span, in subset-XOR order."""
         _check_guard(self.dim, "span enumeration")
-        out = [0]
-        for v in self.basis:
-            out.extend(w ^ v.bits for w in list(out))
-        return out
-
-    def contains_bits(self, xbits: int) -> bool:
-        vecs = [v.bits for v in self.basis]
-        return _rank_of_bits(vecs + [xbits]) == len(self.basis)
+        return _span(self.basis_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -251,36 +258,26 @@ def _rref_bits(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
 
 
 def _invert_rows(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse of an n x n matrix given as packed rows; raises if singular."""
-    work = list(rows)
-    inv = [1 << i for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv[rank], inv[pivot] = inv[pivot], inv[rank]
-        for r in range(n):
-            if r != rank and ((work[r] >> col) & 1):
-                work[r] ^= work[rank]
-                inv[r] ^= inv[rank]
-        rank += 1
-    return inv
+    """Inverse of an n x n matrix given as packed rows; raises if singular.
+
+    Row-reduces [A | I]: when A reduces to I, the right half is A^-1.
+    """
+    reduced, pivots = _rref_bits([r | 1 << (n + i) for i, r in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular over GF(2)")
+    return [r >> n for r in reduced]
 
 
 def _apply_rows(rows: Sequence[int], xbits: int) -> int:
+    """Matrix times vector: output bit i is the parity of row i AND x."""
     out = 0
     for i, row in enumerate(rows):
         out |= ((row & xbits).bit_count() & 1) << i
     return out
 
 
-def _rows_to_cols(rows: Sequence[int], ncols: int) -> list[int]:
+def _transpose(rows: Sequence[int], ncols: int) -> list[int]:
+    """Columns of a packed-row matrix; applied to columns it gives rows back."""
     cols = [0] * ncols
     for i, row in enumerate(rows):
         r = row
@@ -291,8 +288,12 @@ def _rows_to_cols(rows: Sequence[int], ncols: int) -> list[int]:
     return cols
 
 
-def _cols_to_rows(cols: Sequence[int], nrows: int) -> list[int]:
-    return _rows_to_cols(cols, nrows)
+def _span(vectors: Sequence[int]) -> list[int]:
+    """All XOR combinations of the vectors, in subset-XOR order."""
+    out = [0]
+    for v in vectors:
+        out.extend([w ^ v for w in out])
+    return out
 
 
 def _xor_select(vectors: Sequence[int], mask: int) -> int:
@@ -348,14 +349,14 @@ def kernel_basis(T: LinearMap) -> SubspaceBasis:
         for r, pc in enumerate(pivots):
             if (rref[r] >> free) & 1:
                 v |= 1 << pc
-        basis.append(GF2Vector(T.in_dim, v))
+        basis.append(v)
     return SubspaceBasis(T.in_dim, tuple(basis))
 
 
 def image_basis(T: LinearMap) -> SubspaceBasis:
     """Basis of the column span; length is rank(T)."""
     reduced, _ = _rref_bits(T.column_bits, T.out_dim)
-    return SubspaceBasis(T.out_dim, tuple(GF2Vector(T.out_dim, v) for v in reduced))
+    return SubspaceBasis(T.out_dim, tuple(reduced))
 
 
 def is_surjective(T: LinearMap) -> bool:
@@ -378,55 +379,66 @@ def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
                 v ^= w
         return v
 
-    for v in sub.basis:
-        echelon.append(reduce(v.bits))
+    for v in sub.basis_bits:
+        echelon.append(reduce(v))
     complement = []
     for i in range(n):
         r = reduce(1 << i)
         if r:
-            complement.append(GF2Vector(n, 1 << i))
+            complement.append(1 << i)
             echelon.append(r)
     return SubspaceBasis(n, tuple(complement))
 
 
+def _section_columns(T1: LinearMap) -> list[int]:
+    """Columns of a right inverse of a surjective linear map T1.
+
+    T1 sends column i to unit vector i.  T1 restricted to the direct-sum
+    complement of its kernel is a bijection onto the output space, and the
+    columns are the preimages of the unit vectors found there.
+    """
+    comp1 = complement_basis(kernel_basis(T1)).basis_bits
+    b = T1.out_dim
+    vinv = _invert_rows(_transpose([T1.apply_bits(c) for c in comp1], b), b)
+    return [_xor_select(comp1, _apply_rows(vinv, 1 << i)) for i in range(b)]
+
+
 def byte_apply_tables(T: LinearMap) -> list[list[int]]:
-    """Per-byte lookup tables: XOR of table[c][chunk c of x] applies the matrix."""
+    """Per-byte lookup tables: the XOR over c of table[c][byte c of x] is T(x).
+
+    Each table is built by doubling over the columns of its byte; the
+    translation, if any, is folded into table 0.
+    """
     cols = T.column_bits
-    nchunks = (T.in_dim + 7) // 8
+    offset = T.translation_bits or 0
     tables = []
-    for c in range(nchunks):
-        base = 8 * c
-        width = min(8, T.in_dim - base)
-        tbl = [0] * (1 << width)
-        for v in range(1, 1 << width):
-            low = v & -v
-            tbl[v] = tbl[v ^ low] ^ cols[base + low.bit_length() - 1]
-        tables.append(tbl)
+    for base in range(0, T.in_dim, 8):
+        table = [offset if base == 0 else 0]
+        for col in cols[base:base + 8]:
+            table += [v ^ col for v in table]
+        tables.append(table)
     return tables
 
 
-def batch_apply_bits(T: LinearMap, xs: Iterable[int]) -> list[int]:
-    """Apply T to many packed inputs using per-byte lookup tables.
+def batch_apply_bits(T: LinearMap, xs: Sequence[int]) -> list[int]:
+    """Apply T to many packed inputs, one list pass per input byte.
 
     Agrees bit for bit with apply_bits; worthwhile once the input count
     clears a few hundred.
     """
     tables = byte_apply_tables(T)
-    nchunks = len(tables)
-    init = 0 if T.translation is None else T.translation.bits
-    if nchunks == 1:
-        t0 = tables[0]
-        return [init ^ t0[x] for x in xs]
-    if nchunks == 2:
-        t0, t1 = tables
-        return [init ^ t0[x & 255] ^ t1[x >> 8] for x in xs]
-    out = []
-    for x in xs:
-        acc = init
-        for c in range(nchunks):
-            acc ^= tables[c][(x >> (8 * c)) & 255]
-        out.append(acc)
+    out = [tables[0][x & 255] for x in xs]
+    for c in range(1, len(tables)):
+        table, shift = tables[c], 8 * c
+        out = [y ^ table[(x >> shift) & 255] for y, x in zip(out, xs)]
     return out
+
+
+def all_matrices(in_dim: int, out_dim: int) -> Iterable[tuple[int, ...]]:
+    """Packed row tuples of every out_dim x in_dim matrix, row 0 varying fastest."""
+    mask = (1 << in_dim) - 1
+    for m in range(1 << (in_dim * out_dim)):
+        yield tuple((m >> (i * in_dim)) & mask for i in range(out_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +450,15 @@ def sample_uniform_linear(in_dim: int, out_dim: int, rng: random.Random) -> Line
     """Uniform over all 2^(in_dim*out_dim) matrices: every bit an independent coin."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError("map dimensions must be >= 1")
-    return LinearMap.from_row_bits(
-        in_dim, [rng.getrandbits(in_dim) for _ in range(out_dim)]
+    return LinearMap(
+        in_dim, out_dim, tuple([rng.getrandbits(in_dim) for _ in range(out_dim)])
     )
 
 
 def sample_uniform_affine(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:
     """Uniform matrix plus an independent uniform translation vector."""
     base = sample_uniform_linear(in_dim, out_dim, rng)
-    trans = GF2Vector(out_dim, rng.getrandbits(out_dim))
-    return LinearMap(in_dim, out_dim, base.rows, trans)
+    return LinearMap(in_dim, out_dim, base.row_bits, rng.getrandbits(out_dim))
 
 
 def sample_surjective(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:
@@ -497,37 +508,25 @@ def sample_factor_t0(T: LinearMap, T1: LinearMap, rng: random.Random) -> LinearM
     one canonical factor map, sampled uniformly.
     """
     _check_factor_args(T, T1)
-    u, f, b = T.in_dim, T1.in_dim, T1.out_dim
+    u, f = T.in_dim, T1.in_dim
 
     ker = kernel_basis(T)
     comp = complement_basis(ker)
-    ker1 = kernel_basis(T1)
-    comp1 = complement_basis(ker1)
+    ker1_bits = kernel_basis(T1).basis_bits
+    section = _section_columns(T1)
 
     # Domain change of basis: kernel vectors first, complement after.
-    full = [v.bits for v in ker.basis] + [v.bits for v in comp.basis]
-    pinv = _invert_rows(_cols_to_rows(full, u), u)
+    pinv = _invert_rows(_transpose(ker.basis_bits + comp.basis_bits, u), u)
 
-    # T1 restricted to the complement of its kernel is a bijection onto the
-    # output space; invert it on the complement coordinates.
-    comp1_bits = [v.bits for v in comp1.basis]
-    v_cols = [T1.apply_bits(c) for c in comp1_bits]
-    vinv = _invert_rows(_cols_to_rows(v_cols, b), b)
-
-    k_dim = ker.dim
-    k1_dim = ker1.dim
-    ker1_bits = [v.bits for v in ker1.basis]
-    kmask = (1 << k_dim) - 1
-    m_rows = [rng.getrandbits(k_dim) if k_dim else 0 for _ in range(k1_dim)]
+    kmask = (1 << ker.dim) - 1
+    m_rows = [rng.getrandbits(ker.dim) for _ in ker1_bits]
 
     t_cols = T.column_bits
     t0_cols = []
     for j in range(u):
         k_coords = _apply_rows(pinv, 1 << j) & kmask
         through_kernel = _xor_select(ker1_bits, _apply_rows(m_rows, k_coords))
-        comp_coords = _apply_rows(vinv, t_cols[j])
-        q = _xor_select(comp1_bits, comp_coords)
-        t0_cols.append(q ^ through_kernel)
+        t0_cols.append(_xor_select(section, t_cols[j]) ^ through_kernel)
     return LinearMap.from_column_bits(u, f, t0_cols)
 
 
@@ -535,15 +534,9 @@ def _iter_factor_rows(T: LinearMap, T1: LinearMap):
     """Yield the packed rows of every inner map whose composite with T1 is T."""
     u, f = T.in_dim, T1.in_dim
     _check_guard(u * f, "factorization count")
-    mask = (1 << u) - 1
-    t1_rows = T1.row_bits
-    t_rows = T.row_bits
-    for m in range(1 << (u * f)):
-        cand_rows = [(m >> (i * u)) & mask for i in range(f)]
-        if all(
-            _xor_select(cand_rows, t1r) == t_rows[i]
-            for i, t1r in enumerate(t1_rows)
-        ):
+    targets = list(zip(T1.row_bits, T.row_bits))
+    for cand_rows in all_matrices(u, f):
+        if all(_xor_select(cand_rows, t1r) == tr for t1r, tr in targets):
             yield cand_rows
 
 
@@ -557,10 +550,11 @@ def count_factorizations(T: LinearMap, T1: LinearMap) -> int:
     2^((f-b)*dim Ker(T)) when the outer map is surjective.
     """
     _check_factor_args(T, T1)
-    ker_bits = [v.bits for v in kernel_basis(T).basis]
-    seen = set()
-    for cand_rows in _iter_factor_rows(T, T1):
-        seen.add(tuple(_apply_rows(cand_rows, v) for v in ker_bits))
+    ker_bits = kernel_basis(T).basis_bits
+    seen = {
+        tuple(_apply_rows(cand_rows, v) for v in ker_bits)
+        for cand_rows in _iter_factor_rows(T, T1)
+    }
     return len(seen)
 
 

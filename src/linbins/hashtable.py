@@ -29,8 +29,9 @@ class TableStats:
 class LinearHashTable:
     """Separate chaining with insertion-order chains and grow-at-full policy.
 
-    Single writer; readers may share the table between mutations.  The rng
-    handle is owned by the table for resampling on resize.
+    Keys are GF2Vectors at the interface; chains hold [key bits, value]
+    entries.  Single writer; readers may share the table between mutations.
+    The rng handle is owned by the table for resampling on resize.
     """
 
     def __init__(self, key_bits: int, bucket_bits: int, rng: random.Random,
@@ -72,8 +73,8 @@ class LinearHashTable:
         if key.dim != self._key_bits:
             raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
 
-    def _chain(self, key: GF2Vector) -> list[list]:
-        return self._buckets[self._hash.apply_bits(key.bits)]
+    def _chain(self, kbits: int) -> list[list]:
+        return self._buckets[self._hash.apply_bits(kbits)]
 
     def insert(self, key: GF2Vector, value: Any) -> Any | None:
         """Store key -> value; returns the replaced value, if any.
@@ -82,54 +83,51 @@ class LinearHashTable:
         first.
         """
         self._check_key(key)
-        for entry in self._chain(key):
-            if entry[0] == key:
+        kbits = key.bits
+        for entry in self._chain(kbits):
+            if entry[0] == kbits:
                 old = entry[1]
                 entry[1] = value
                 return old
         if self._size + 1 > len(self._buckets):
             self._grow()
-        self._chain(key).append([key, value])
+        self._chain(kbits).append([kbits, value])
         self._size += 1
         return None
 
-    def get(self, key: GF2Vector) -> Any | None:
+    def _probe(self, key: GF2Vector) -> tuple[list[list], int]:
+        """The key's chain and its index there (-1 if absent), counting the probes."""
         self._check_key(key)
-        probes = 0
-        for entry in self._chain(key):
-            probes += 1
-            if entry[0] == key:
+        kbits = key.bits
+        chain = self._chain(kbits)
+        for i, entry in enumerate(chain):
+            if entry[0] == kbits:
                 self._hit_lookups += 1
-                self._hit_probes += probes
-                return entry[1]
+                self._hit_probes += i + 1
+                return chain, i
         self._miss_lookups += 1
-        self._miss_probes += probes
-        return None
+        self._miss_probes += len(chain)
+        return chain, -1
+
+    def get(self, key: GF2Vector) -> Any | None:
+        chain, i = self._probe(key)
+        return chain[i][1] if i >= 0 else None
 
     def remove(self, key: GF2Vector) -> Any | None:
-        self._check_key(key)
-        chain = self._chain(key)
-        probes = 0
-        for i, entry in enumerate(chain):
-            probes += 1
-            if entry[0] == key:
-                self._hit_lookups += 1
-                self._hit_probes += probes
-                chain.pop(i)
-                self._size -= 1
-                return entry[1]
-        self._miss_lookups += 1
-        self._miss_probes += probes
-        return None
+        chain, i = self._probe(key)
+        if i < 0:
+            return None
+        self._size -= 1
+        return chain.pop(i)[1]
 
     def __contains__(self, key: GF2Vector) -> bool:
         self._check_key(key)
-        return any(entry[0] == key for entry in self._chain(key))
+        return any(entry[0] == key.bits for entry in self._chain(key.bits))
 
     def keys(self) -> Iterator[GF2Vector]:
         for chain in self._buckets:
             for entry in chain:
-                yield entry[0]
+                yield GF2Vector(self._key_bits, entry[0])
 
     def _grow(self) -> None:
         self._bucket_bits += 1
@@ -137,7 +135,7 @@ class LinearHashTable:
         buckets: list[list[list]] = [[] for _ in range(1 << self._bucket_bits)]
         for chain in self._buckets:
             for entry in chain:
-                buckets[self._hash.apply_bits(entry[0].bits)].append(entry)
+                buckets[self._hash.apply_bits(entry[0])].append(entry)
         self._buckets = buckets
         self._resizes += 1
 
@@ -148,7 +146,7 @@ class LinearHashTable:
         return TableStats(
             size=self._size,
             bucket_bits=self._bucket_bits,
-            max_chain=max(len(c) for c in self._buckets),
+            max_chain=self.max_chain(),
             resizes=self._resizes,
             hit_lookups=self._hit_lookups,
             miss_lookups=self._miss_lookups,
@@ -166,10 +164,10 @@ class LinearHashTable:
         for idx, chain in enumerate(self._buckets):
             for entry in chain:
                 total += 1
-                expected = self._hash.apply_bits(entry[0].bits)
+                expected = self._hash.apply_bits(entry[0])
                 if expected != idx:
                     raise RuntimeError(
-                        f"entry {entry[0]} sits in bucket {idx}, hashes to {expected}"
+                        f"entry 0x{entry[0]:x} sits in bucket {idx}, hashes to {expected}"
                     )
         if total != self._size:
             raise RuntimeError(f"size {self._size} != stored entries {total}")

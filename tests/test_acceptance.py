@@ -288,7 +288,7 @@ def test_criterion_11_hash_table_equivalence():
             table.audit()
     table.audit()
     keys = tuple(sorted(model, key=lambda k: k.bits))
-    S = BallSet(12, keys, "random")
+    S = BallSet.from_members(12, keys, "random")
     chain_ok = table.max_chain() == largest_bin(table.hash_map, S)
     size_ok = len(table) == len(model)
     ok = chain_ok and size_ok

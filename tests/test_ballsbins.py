@@ -26,6 +26,7 @@ from linbins.ballsbins import (
     exact_tail_probability,
     generate_set,
     largest_bin,
+    _pair_at,
     pairwise_independence_check,
     subspace_structure,
     substream,
@@ -188,11 +189,11 @@ class TestGenerateSet:
 
     def test_ballset_validation(self):
         with pytest.raises(ValueError):
-            BallSet(3, (GF2Vector(3, 1), GF2Vector(3, 1)), "interval")
+            BallSet.from_members(3, (GF2Vector(3, 1), GF2Vector(3, 1)), "interval")
         with pytest.raises(ValueError):
-            BallSet(3, (GF2Vector(2, 1),), "interval")
+            BallSet.from_members(3, (GF2Vector(2, 1),), "interval")
         with pytest.raises(ValueError):
-            BallSet(3, (), "interval")
+            BallSet.from_members(3, (), "interval")
 
     def test_descriptor_mentions_kind(self):
         S = generate_set("subspace", 5, 2, random.Random(0))
@@ -286,7 +287,7 @@ class TestEventE2:
         assert event_e2_direct(S, T0, T1)
 
     def test_singleton_false_when_gap(self):
-        S = BallSet(3, (GF2Vector(3, 0),), "interval")
+        S = BallSet.from_members(3, (GF2Vector(3, 0),), "interval")
         rng = random.Random(2)
         for _ in range(10):
             T0 = sample_uniform_linear(3, 2, rng)
@@ -295,7 +296,7 @@ class TestEventE2:
             assert not event_e2_direct(S, T0, T1)
 
     def test_equal_dims_fibers_are_points(self):
-        S = BallSet(3, (GF2Vector(3, 0),), "interval")
+        S = BallSet.from_members(3, (GF2Vector(3, 0),), "interval")
         rng = random.Random(3)
         T0 = sample_uniform_linear(3, 2, rng)
         T1 = sample_surjective(2, 2, rng)
@@ -321,6 +322,17 @@ class TestEventE2:
         with pytest.raises(ValueError):
             event_e2(S, T0, zero_map(2, 1))
 
+    def test_rejects_affine_outer_map(self):
+        rng = random.Random(7)
+        S = generate_set("random", 4, 9, rng)
+        T0 = sample_uniform_linear(4, 3, rng)
+        T1 = LinearMap.from_row_bits(3, [0b011, 0b110], translation_bits=0b01)
+        for check in (event_e2, event_e2_direct):
+            with pytest.raises(ValueError, match="linear"):
+                check(S, T0, T1)
+        with pytest.raises(ValueError, match="linear"):
+            check_e1_e2_implication(S, T0, T1, 2)
+
     def test_size_guard(self):
         S = full_universe(3)
         T0 = sample_uniform_linear(3, 25, random.Random(0))
@@ -331,7 +343,7 @@ class TestEventE2:
 
 class TestImplication:
     def test_vacuous_when_no_overload(self):
-        S = BallSet(3, (GF2Vector(3, 0),), "interval")
+        S = BallSet.from_members(3, (GF2Vector(3, 0),), "interval")
         rng = random.Random(5)
         T0 = sample_uniform_linear(3, 2, rng)
         T1 = sample_surjective(2, 1, rng)
@@ -463,7 +475,7 @@ class TestExactOracles:
         assert exact_expected_lbin(1, 1, S11) == Fraction(3, 2)
 
     def test_singleton_is_always_one(self):
-        S = BallSet(3, (GF2Vector(3, 5),), "interval")
+        S = BallSet.from_members(3, (GF2Vector(3, 5),), "interval")
         for b in (1, 2, 3):
             assert exact_expected_lbin(3, b, S) == Fraction(1)
 
@@ -586,6 +598,30 @@ class TestPairwiseIndependence:
     def test_exact_mode_guard(self):
         with pytest.raises(SizeGuardError):
             pairwise_independence_check(8, 2, mode="exact")
+
+    def test_exact_mode_guard_counts_pairs(self):
+        # 2^16 maps pass the map cap, but C(2^15, 2) key pairs do not fit
+        with pytest.raises(SizeGuardError):
+            pairwise_independence_check(15, 1, mode="exact")
+
+    def test_pair_index_decoding(self):
+        for u in range(1, 7):
+            n = 1 << u
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            assert [_pair_at(n, i) for i in range(len(pairs))] == pairs
+
+    def test_sampled_pairs_match_list_sampling(self):
+        # drawing indices picks the pairs a draw from the full list would, and
+        # leaves the rng in the same state
+        for u in range(3, 10):
+            n = 1 << u
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            by_list, by_index = random.Random(u), random.Random(u)
+            k = min(40, len(pairs) - 1)
+            want = by_list.sample(pairs, k)
+            got = [_pair_at(n, i) for i in by_index.sample(range(len(pairs)), k)]
+            assert got == want
+            assert by_list.getstate() == by_index.getstate()
 
     def test_sampling_mode(self):
         report = pairwise_independence_check(

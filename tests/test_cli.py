@@ -260,3 +260,36 @@ class TestSeedEnvVar:
     def test_bad_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("LINBINS_SEED", "not-a-number")
         assert main(["simulate", "--u", "2", "--b", "1", "--set-size", "4"]) == 1
+
+
+class TestFailureExitCodes:
+    """Failures exit with a documented code and a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("formula", ["c-epsilon", "tail-params", "ell-threshold"])
+    def test_arithmetic_overflow(self, formula, capsys):
+        assert main(["bounds", "--formula", formula, "--eps", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["simulate", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub,config", [
+        ("simulate", {"u": 2, "b": 1, "set_size": 4, "jobs": 1.5}),
+        ("simulate", {"u": 2, "b": 1, "set_size": 4, "trials": True}),
+        ("simulate", {"u": 2, "b": 1, "set_size": 4, "set": "bogus"}),
+        ("simulate", {"u": 2, "b": 1, "set_size": 4, "thresholds": [2, "x"]}),
+        ("verify", {"inject_fault": 1}),
+    ])
+    def test_config_values_checked_like_flags(self, sub, config, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main([sub, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err

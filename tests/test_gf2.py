@@ -311,22 +311,22 @@ class TestRankKernelImage:
 class TestSubspaceBasis:
     def test_rejects_dependent_vectors(self):
         with pytest.raises(ValueError):
-            SubspaceBasis(2, (GF2Vector(2, 0b01), GF2Vector(2, 0b01)))
+            SubspaceBasis.from_vectors(2, (GF2Vector(2, 0b01), GF2Vector(2, 0b01)))
 
     def test_complement_of_empty_is_full(self):
         comp = complement_basis(SubspaceBasis(3, ()))
         assert comp.dim == 3
 
     def test_complement_of_full_is_empty(self):
-        full = SubspaceBasis(3, tuple(GF2Vector.unit(3, i) for i in range(3)))
+        full = SubspaceBasis.from_vectors(3, tuple(GF2Vector.unit(3, i) for i in range(3)))
         assert complement_basis(full).dim == 0
 
     def test_complement_direct_sum(self):
-        sub = SubspaceBasis(2, (GF2Vector(2, 0b11),))
+        sub = SubspaceBasis.from_vectors(2, (GF2Vector(2, 0b11),))
         comp = complement_basis(sub)
         assert comp.dim == 1
         assert comp.basis[0].bits not in {0, 0b11}
-        joint = SubspaceBasis(2, sub.basis + comp.basis)
+        joint = SubspaceBasis.from_vectors(2, sub.basis + comp.basis)
         assert sorted(joint.span_bits()) == [0, 1, 2, 3]
 
     def test_complement_direct_sum_random(self):
@@ -338,7 +338,7 @@ class TestSubspaceBasis:
             comp = complement_basis(sub)
             assert sub.dim + comp.dim == u
             # disjoint spans and joint independence mean a direct sum
-            SubspaceBasis(u, sub.basis + comp.basis)
+            SubspaceBasis.from_vectors(u, sub.basis + comp.basis)
 
 
 # ---------------------------------------------------------------------------

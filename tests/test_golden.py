@@ -1,0 +1,72 @@
+"""Golden data rows: CLI output pinned byte for byte across refactors.
+
+Each fixture under tests/golden/ holds the CSV data rows (the `# manifest:`
+line, the only line allowed to vary, stripped) of one small run.  The
+simulate runs cover the scalar apply path (fewer than 256 balls) and the
+batch path at in_dim 8, 12 and 24, that is one, two and three byte chunks.
+
+Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
+deliberate, documented change of rows.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from linbins.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_SIM = ["simulate", "--thresholds", "2,4", "--seed", "3", "--trials"]
+
+GOLDEN = {
+    "simulate-affine-scalar": _SIM + ["200", "--u", "6", "--b", "3",
+                                      "--set", "affine", "--set-dim", "3"],
+    "simulate-random-u8": _SIM + ["20", "--u", "8", "--b", "4",
+                                  "--set", "random", "--set-size", "256"],
+    "simulate-random-u12": _SIM + ["20", "--u", "12", "--b", "6",
+                                   "--set", "random", "--set-size", "512"],
+    "simulate-random-u24": _SIM + ["20", "--u", "24", "--b", "8",
+                                   "--set", "random", "--set-size", "300"],
+    "simulate-interval": _SIM + ["50", "--u", "10", "--b", "4",
+                                 "--set", "interval", "--set-size", "300"],
+    "simulate-subspace": _SIM + ["50", "--u", "10", "--b", "3",
+                                 "--set", "subspace", "--set-dim", "4"],
+    "simulate-cluster": _SIM + ["20", "--u", "12", "--b", "4",
+                                "--set", "cluster", "--set-size", "300"],
+    "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
+                       "--set-size", "5", "--thresholds", "2,3"],
+    "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",
+                     "--set-size", "6", "--thresholds", "1,2,3", "--seed", "2"],
+    "bounds-all": ["bounds", "--b", "4,8", "--r", "16,256", "--eps", "0.25,0.5",
+                   "--f", "9,11"],
+    "table-bench-random": ["table-bench", "--u", "16", "--b", "3", "--keys", "random",
+                           "--n", "0,64,512", "--seed", "4"],
+    "table-bench-subspace": ["table-bench", "--u", "12", "--b", "2",
+                             "--keys", "subspace", "--n", "64", "--seed", "4"],
+}
+
+
+def data_rows(argv, out: Path) -> bytes:
+    assert main(argv + ["--out", str(out)]) == 0
+    return b"".join(
+        line for line in out.read_bytes().splitlines(keepends=True)
+        if not line.startswith(b"# manifest:")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rows_match_golden(name, tmp_path):
+    want = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert data_rows(GOLDEN[name], tmp_path / "out.csv") == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(GOLDEN.items()):
+            rows = data_rows(argv, Path(tmp) / "out.csv")
+            (GOLDEN_DIR / f"{name}.csv").write_bytes(rows)
+            print(f"wrote {name}.csv ({len(rows.splitlines())} lines)")

@@ -129,7 +129,7 @@ class TestStructure:
             seen.add(data.getrandbits(10))
         for k in seen:
             t.insert(GF2Vector(10, k), k)
-        S = BallSet(10, tuple(GF2Vector(10, k) for k in sorted(seen)), "random")
+        S = BallSet.from_members(10, tuple(GF2Vector(10, k) for k in sorted(seen)), "random")
         assert t.max_chain() == largest_bin(t.hash_map, S)
 
     def test_subspace_keys_chain_size(self):

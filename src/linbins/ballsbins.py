@@ -15,7 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .gf2 import (
     SIZE_GUARD_BITS,
@@ -365,18 +365,29 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     return True
 
 
-def _fiber_bits(T1: LinearMap, label_bits: int) -> list[int]:
-    """All intermediate points the outer map sends to the given label."""
-    particular = _xor_select(_section_columns(T1), label_bits)
-    return [particular ^ k for k in kernel_basis(T1).span_bits()]
+def _fibers(T1: LinearMap) -> Callable[[int], list[int]]:
+    """label -> all intermediate points the outer map sends to that label.
+
+    The section and the kernel span are computed once per outer map; each
+    fiber is then a particular preimage XOR every kernel vector.
+    """
+    section = _section_columns(T1)
+    ker_span = kernel_basis(T1).span_bits()
+
+    def fiber(label_bits: int) -> list[int]:
+        particular = _xor_select(section, label_bits)
+        return [particular ^ k for k in ker_span]
+
+    return fiber
 
 
 def event_e2_direct(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     """Fiber-by-fiber reference for event_e2: enumerate each fiber, test subset."""
     _check_event_args(S, T0, T1)
     image = set(_images(T0, S.member_bits))
+    fiber_of = _fibers(T1)
     for label in range(1 << T1.out_dim):
-        if all(x in image for x in _fiber_bits(T1, label)):
+        if all(x in image for x in fiber_of(label)):
             return True
     return False
 
@@ -428,10 +439,11 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
 
     witnesses = []
     violations = 0
-    for label_bits, balls in sorted(by_label.items()):
-        if len(balls) < ell:
-            continue
-        fiber = _fiber_bits(T1, label_bits)
+    overloaded = [(label_bits, balls) for label_bits, balls in sorted(by_label.items())
+                  if len(balls) >= ell]
+    fiber_of = _fibers(T1) if overloaded else None
+    for label_bits, balls in overloaded:
+        fiber = fiber_of(label_bits)
         inner_images = set(_images(T0, balls))
         covered = all(x in inner_images for x in fiber)
         if covered and not e2:

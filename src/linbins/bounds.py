@@ -38,7 +38,12 @@ def c_epsilon(eps: float) -> float:
     Grows brutally as eps shrinks; already 2^34 at eps = 1/2.
     """
     _check_eps(eps)
-    return 4.0 * (2.0 / eps) ** (8.0 / eps)
+    try:
+        return 4.0 * (2.0 / eps) ** (8.0 / eps)
+    except OverflowError:
+        raise OverflowError(
+            f"c_epsilon = 4*(2/eps)^(8/eps) overflows a float at eps={eps}"
+        ) from None
 
 
 def bound_surjective_miss(universe_dim: int, target_dim: int,

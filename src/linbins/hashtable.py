@@ -3,6 +3,9 @@
 The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
 the uniform-map guarantee on bin sizes is restored after every resize.
+Buckets are computed from the map's per-byte lookup tables, rebuilt each
+time the map is set; audit() re-checks every entry with the row-parity
+apply_bits.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .gf2 import GF2Vector, LinearMap, sample_uniform_affine
+from .gf2 import GF2Vector, LinearMap, byte_apply_tables, sample_uniform_affine
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class LinearHashTable:
         self._key_bits = key_bits
         self._bucket_bits = bucket_bits
         self._rng = rng
-        self._hash = hash_map or sample_uniform_affine(key_bits, bucket_bits, rng)
+        self._set_hash(hash_map or sample_uniform_affine(key_bits, bucket_bits, rng))
         self._buckets: list[list[list]] = [[] for _ in range(1 << bucket_bits)]
         self._size = 0
         self._resizes = 0
@@ -73,8 +76,20 @@ class LinearHashTable:
         if key.dim != self._key_bits:
             raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
 
+    def _set_hash(self, T: LinearMap) -> None:
+        self._hash = T
+        self._tables = byte_apply_tables(T)
+
+    def _bucket(self, kbits: int) -> int:
+        """T(kbits) as the XOR of one table entry per key byte."""
+        acc = 0
+        for table in self._tables:
+            acc ^= table[kbits & 255]
+            kbits >>= 8
+        return acc
+
     def _chain(self, kbits: int) -> list[list]:
-        return self._buckets[self._hash.apply_bits(kbits)]
+        return self._buckets[self._bucket(kbits)]
 
     def insert(self, key: GF2Vector, value: Any) -> Any | None:
         """Store key -> value; returns the replaced value, if any.
@@ -84,14 +99,16 @@ class LinearHashTable:
         """
         self._check_key(key)
         kbits = key.bits
-        for entry in self._chain(kbits):
+        chain = self._chain(kbits)
+        for entry in chain:
             if entry[0] == kbits:
                 old = entry[1]
                 entry[1] = value
                 return old
         if self._size + 1 > len(self._buckets):
             self._grow()
-        self._chain(kbits).append([kbits, value])
+            chain = self._chain(kbits)
+        chain.append([kbits, value])
         self._size += 1
         return None
 
@@ -131,11 +148,11 @@ class LinearHashTable:
 
     def _grow(self) -> None:
         self._bucket_bits += 1
-        self._hash = sample_uniform_affine(self._key_bits, self._bucket_bits, self._rng)
+        self._set_hash(sample_uniform_affine(self._key_bits, self._bucket_bits, self._rng))
         buckets: list[list[list]] = [[] for _ in range(1 << self._bucket_bits)]
         for chain in self._buckets:
             for entry in chain:
-                buckets[self._hash.apply_bits(entry[0])].append(entry)
+                buckets[self._bucket(entry[0])].append(entry)
         self._buckets = buckets
         self._resizes += 1
 

@@ -29,6 +29,7 @@ from linbins.bounds import bound_e2, bound_tail, c_epsilon, tail_bound_parameter
 from linbins.cli import main
 from linbins.gf2 import (
     LinearMap,
+    all_matrices,
     compose,
     count_factorizations,
     rank,
@@ -47,11 +48,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def all_linear_maps(in_dim, out_dim):
-    mask = (1 << in_dim) - 1
-    for m in range(1 << (in_dim * out_dim)):
-        yield LinearMap.from_row_bits(
-            in_dim, [(m >> (i * in_dim)) & mask for i in range(out_dim)]
-        )
+    return (LinearMap.from_row_bits(in_dim, rows) for rows in all_matrices(in_dim, out_dim))
 
 
 def test_criterion_01_exact_oracle_match():

@@ -316,6 +316,20 @@ class TestEventE2:
             T1 = sample_surjective(f, b, rng)
             assert event_e2(S, T0, T1) == event_e2_direct(S, T0, T1)
 
+    def test_two_routes_agree_wide_outer_map(self):
+        # f=12, b=10: 1024 fibers of 4 points, so the oracle's per-fiber
+        # enumeration is exercised well past the small-f instances above
+        rng = random.Random(12)
+        outcomes = []
+        for size in (64, 512, 1024, 2048, 3072) * 4:
+            S = generate_set("random", 14, size, rng)
+            T0 = sample_uniform_linear(14, 12, rng)
+            T1 = sample_surjective(12, 10, rng)
+            e2 = event_e2(S, T0, T1)
+            assert event_e2_direct(S, T0, T1) == e2
+            outcomes.append(e2)
+        assert True in outcomes and False in outcomes
+
     def test_rejects_bad_outer_map(self):
         S = full_universe(3)
         T0 = sample_uniform_linear(3, 2, random.Random(0))

@@ -272,6 +272,13 @@ class TestFailureExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_overflow_names_formula_and_eps(self, capsys):
+        assert main(["bounds", "--formula", "c-epsilon", "--eps", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert "4*(2/eps)^(8/eps)" in err
+        assert "eps=0.01" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["simulate", "--config", str(missing)]) == 1

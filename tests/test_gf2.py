@@ -11,6 +11,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
+    all_matrices,
     batch_apply_bits,
     complement_basis,
     compose,
@@ -48,11 +49,7 @@ def all_vectors(dim):
 
 
 def all_linear_maps(in_dim, out_dim):
-    mask = (1 << in_dim) - 1
-    for m in range(1 << (in_dim * out_dim)):
-        yield LinearMap.from_row_bits(
-            in_dim, [(m >> (i * in_dim)) & mask for i in range(out_dim)]
-        )
+    return (LinearMap.from_row_bits(in_dim, rows) for rows in all_matrices(in_dim, out_dim))
 
 
 @st.composite

@@ -10,6 +10,7 @@ from linbins.gf2 import (
     LinearMap,
     _rank_of_bits,
     kernel_basis,
+    sample_uniform_affine,
     sample_uniform_linear,
 )
 from linbins.hashtable import LinearHashTable
@@ -199,3 +200,65 @@ class TestStructure:
         for i in range(6):
             t.insert(key(i), i)
         assert {k.bits for k in t.keys()} == set(range(6))
+
+
+class TestTableBuckets:
+    """The per-byte-table bucket path against the row-parity apply_bits."""
+
+    @staticmethod
+    def _check_placement(t, probe_keys):
+        T = t.hash_map
+        for idx, chain in enumerate(t._buckets):
+            for entry in chain:
+                assert T.apply_bits(entry[0]) == idx
+        for k in probe_keys:
+            assert t._bucket(k) == T.apply_bits(k)
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    @pytest.mark.parametrize("key_bits", [1, 7, 8, 9, 31, 32, 33, 64])
+    def test_matches_apply_bits_and_dict(self, key_bits, supplied):
+        rng = random.Random(1000 + key_bits)
+        data = random.Random(2000 + key_bits)
+        hash_map = sample_uniform_affine(key_bits, 1, rng) if supplied else None
+        t = LinearHashTable(key_bits, 1, rng, hash_map=hash_map)
+        if supplied:
+            assert t.hash_map is hash_map
+        if key_bits < 20:
+            pool = data.sample(range(1 << key_bits), min(1 << key_bits, 150))
+        else:
+            pool = [data.getrandbits(key_bits) for _ in range(150)]
+        probe = pool + [data.getrandbits(key_bits) for _ in range(50)] + [0, (1 << key_bits) - 1]
+        self._check_placement(t, probe)
+        model = {}
+        for step in range(1500):
+            k = GF2Vector(key_bits, data.choice(pool))
+            op = data.random()
+            if op < 0.5:
+                assert t.insert(k, step) == model.get(k)
+                model[k] = step
+            elif op < 0.8:
+                assert t.get(k) == model.get(k)
+            else:
+                assert t.remove(k) == model.pop(k, None)
+            assert (k in t) == (k in model)
+            assert len(t) == len(model)
+        if key_bits >= 7:
+            assert t.stats().resizes >= 3
+        self._check_placement(t, probe)
+        for k in pool:
+            k = GF2Vector(key_bits, k)
+            assert t.get(k) == model.get(k)
+            assert (k in t) == (k in model)
+        t.audit()
+
+        # at load factor 1, replacing a value must not grow the table
+        x = 0  # bucket_bits <= key_bits, so this stops within the key space
+        while len(t) < 1 << t.bucket_bits:
+            t.insert(GF2Vector(key_bits, x), None)
+            x += 1
+        resizes, bucket_bits = t.stats().resizes, t.bucket_bits
+        some_key = next(iter(t.keys()))
+        t.insert(some_key, "replaced")
+        assert t.get(some_key) == "replaced"
+        assert (t.stats().resizes, t.bucket_bits) == (resizes, bucket_bits)
+        t.audit()

@@ -25,12 +25,13 @@ from .gf2 import (
     _apply_rows,
     _check_guard,
     _rank_of_bits,
+    _rref_bits,
     _section_columns,
     _span,
     _xor_select,
     all_matrices,
     batch_apply_bits,
-    byte_apply_tables,
+    byte_apply_tables,  # noqa: F401  kept importable here: perfbench traces this name
     compose,
     is_surjective,
     kernel_basis,
@@ -40,7 +41,7 @@ from .gf2 import (
 
 SET_KINDS = ("interval", "random", "subspace", "affine", "cluster")
 
-# Event scans iterate over the whole intermediate space.
+# The E2 check marks a 2^f-byte coverage array over the intermediate space.
 EVENT_DIM_CAP = 24
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -330,39 +331,42 @@ def _check_event_args(S: BallSet, T0: LinearMap, T1: LinearMap) -> None:
         raise ValueError("outer map must be surjective")
     if T1.in_dim > EVENT_DIM_CAP:
         raise SizeGuardError(
-            f"event scan iterates 2^{T1.in_dim} points (cap is 2^{EVENT_DIM_CAP})"
+            f"E2 check needs a 2^{T1.in_dim}-byte coverage array "
+            f"(cap is 2^{EVENT_DIM_CAP} bytes)"
         )
 
 
 def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     """True iff some bin label has its whole outer-map fiber inside T0(S).
 
-    Computed through the complement identity: such a label exists exactly
-    when the points outside T0(S) fail to cover every label under the outer
-    map.  Cost is one pass over the 2^f intermediate points.
+    Each outer fiber is turned into an aligned block.  With the free
+    (non-pivot) columns of T1's reduced row echelon form, the map
+    P(x) = (T1(x) in the top b bits, x's free coordinates in the low f-b
+    bits) is invertible and sends the fiber of label y onto the block
+    [y << (f-b), (y+1) << (f-b)).  The balls go through P after T0 in one
+    apply pass and are marked in a 2^f-byte array; E2 holds iff some aligned
+    block of 2^(f-b) bytes is all marked.  The search loop runs at most 2^b
+    times, since each miss resumes at the next block boundary.
     """
     _check_event_args(S, T0, T1)
     f, b = T1.in_dim, T1.out_dim
+    _, pivots = _rref_bits(T1.row_bits, f)
+    # P's rows: the free coordinates give the low f-b bits, T1 the top b
+    p_rows = [1 << c for c in range(f) if c not in pivots] + list(T1.row_bits)
+    q_rows = tuple(_xor_select(T0.row_bits, row) for row in p_rows)
+    t = T0.translation_bits
+    Q = LinearMap(T0.in_dim, f, q_rows, t and _apply_rows(p_rows, t))
     covered = bytearray(1 << f)
-    for img in _images(T0, S.member_bits):
+    for img in _images(Q, S.member_bits):
         covered[img] = 1
-    tables = byte_apply_tables(T1)
-    nchunks = len(tables)
-    full = 1 << b
-    seen = bytearray(full)
-    remaining = full
-    for x in range(1 << f):
-        if covered[x]:
-            continue
-        acc = 0
-        for c in range(nchunks):
-            acc ^= tables[c][(x >> (8 * c)) & 255]
-        if not seen[acc]:
-            seen[acc] = 1
-            remaining -= 1
-            if remaining == 0:
-                return False
-    return True
+    width = 1 << (f - b)
+    block = b"\x01" * width
+    at = covered.find(block)
+    while at >= 0:
+        if not at & (width - 1):
+            return True
+        at = covered.find(block, (at | (width - 1)) + 1)
+    return False
 
 
 def _fibers(T1: LinearMap) -> Callable[[int], list[int]]:

@@ -100,6 +100,11 @@ def bound_tail(bin_dim: int, r: float, eps: float) -> float:
     return (x ** exponent) / (1.0 - eps)
 
 
+def _ell_floor(c_eps: float, gap: int) -> float:
+    """c_eps * gap * 2^gap, the formula behind ell_threshold."""
+    return c_eps * gap * (2.0 ** gap)
+
+
 def ell_threshold(eps: float, inter_dim: int, bin_dim: int) -> float:
     """Smallest bin-size threshold the fiber-coverage comparison supports.
 
@@ -109,8 +114,7 @@ def ell_threshold(eps: float, inter_dim: int, bin_dim: int) -> float:
     _check_eps(eps)
     if inter_dim < bin_dim:
         raise ValueError("intermediate dimension must be >= bin dimension")
-    gap = inter_dim - bin_dim
-    return c_epsilon(eps) * gap * (2.0 ** gap)
+    return _ell_floor(c_epsilon(eps), inter_dim - bin_dim)
 
 
 def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> TailParameters:
@@ -127,15 +131,16 @@ def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> TailParameters:
     _check_eps(eps)
     lg = math.log2(r)
     inter_dim = math.floor(bin_dim + lg - math.log2(lg) + 1)
-    threshold = math.ceil(2.0 * c_epsilon(eps) * r)
+    c_eps = c_epsilon(eps)
+    threshold = math.ceil(2.0 * c_eps * r)
     if inter_dim <= bin_dim:
         raise ArithmeticError(
             f"instantiation failed: intermediate dim {inter_dim} <= bin dim {bin_dim}"
         )
-    if threshold < ell_threshold(eps, inter_dim, bin_dim):
+    ell_floor = _ell_floor(c_eps, inter_dim - bin_dim)
+    if threshold < ell_floor:
         raise ArithmeticError(
-            f"instantiation failed: threshold {threshold} below "
-            f"{ell_threshold(eps, inter_dim, bin_dim)}"
+            f"instantiation failed: threshold {threshold} below {ell_floor}"
         )
     return TailParameters(inter_dim, threshold)
 

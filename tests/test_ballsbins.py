@@ -40,6 +40,7 @@ from linbins.gf2 import (
     identity,
     kernel_basis,
     sample_surjective,
+    sample_uniform_affine,
     sample_uniform_linear,
     zero_map,
 )
@@ -329,6 +330,83 @@ class TestEventE2:
             assert event_e2_direct(S, T0, T1) == e2
             outcomes.append(e2)
         assert True in outcomes and False in outcomes
+
+    def test_straddling_run_is_not_a_fiber(self):
+        # T1 keeps the top b=2 of f=6 coordinates, so its fibers are the
+        # aligned runs [16y, 16y+16); 16 consecutive points from 2 fill no
+        # fiber, while the same run from 16 fills the fiber of label 1
+        T0 = identity(6)
+        T1 = LinearMap.from_row_bits(6, [1 << 4, 1 << 5])
+        for start, want in ((2, False), (16, True)):
+            S = BallSet(6, tuple(range(start, start + 16)), "interval")
+            assert event_e2(S, T0, T1) is want
+            assert event_e2_direct(S, T0, T1) is want
+
+    def test_affine_inner_map(self):
+        # a translation of T0 moves every image by one vector, which permutes
+        # the cosets of Ker(T1), so the event must match the linear part's
+        rng = random.Random(14)
+        outcomes = set()
+        for _ in range(400):
+            u = rng.randint(1, 7)
+            f = rng.randint(1, min(u, 6))
+            b = rng.randint(1, f)
+            S = generate_set("random", u, rng.randint(1, 1 << u), rng)
+            T0 = sample_uniform_affine(u, f, rng)
+            T1 = sample_surjective(f, b, rng)
+            e2 = event_e2(S, T0, T1)
+            assert event_e2_direct(S, T0, T1) == e2
+            assert event_e2(S, LinearMap(u, f, T0.row_bits), T1) == e2
+            outcomes.add(e2)
+        assert outcomes == {True, False}
+
+    def test_equal_dims_always_true(self):
+        # f == b: every fiber is one point, and any ball's image fills one
+        rng = random.Random(15)
+        for f in range(1, 9):
+            u = rng.randint(f, 10)
+            S = generate_set("random", u, rng.randint(1, min(40, 1 << u)), rng)
+            T0 = sample_uniform_affine(u, f, rng)
+            T1 = sample_surjective(f, f, rng)
+            assert event_e2(S, T0, T1)
+            assert event_e2_direct(S, T0, T1)
+
+    def test_fewer_balls_than_a_fiber(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            f = rng.randint(2, 9)
+            b = rng.randint(1, f - 1)
+            u = rng.randint(f, 12)
+            S = generate_set("random", u, rng.randint(1, (1 << (f - b)) - 1), rng)
+            T0 = sample_surjective(u, f, rng)
+            T1 = sample_surjective(f, b, rng)
+            assert not event_e2(S, T0, T1)
+            assert not event_e2_direct(S, T0, T1)
+
+    @pytest.mark.parametrize("gap", range(7))
+    def test_two_routes_agree_planted_fiber(self, gap):
+        # With T0 invertible, the composite preimage of one label is a whole
+        # fiber's worth of balls.  Plant it, drop one point half the time,
+        # and add about one noise ball per fiber, so both outcomes occur.
+        rng = random.Random(100 + gap)
+        outcomes = set()
+        for _ in range(16):
+            b = rng.randint(1, 4)
+            f = b + gap
+            T0 = LinearMap(f, f, sample_surjective(f, f, rng).row_bits,
+                           rng.choice([None, rng.getrandbits(f)]))
+            T1 = sample_surjective(f, b, rng)
+            label = rng.getrandbits(b)
+            members = [x for x in range(1 << f)
+                       if T1.apply_bits(T0.apply_bits(x)) == label]
+            if rng.random() < 0.5:
+                members.pop(rng.randrange(len(members)))
+            members = set(members) | {rng.getrandbits(f) for _ in range(1 << b)}
+            S = BallSet(f, tuple(sorted(members)), "random")
+            e2 = event_e2(S, T0, T1)
+            assert event_e2_direct(S, T0, T1) == e2
+            outcomes.add(e2)
+        assert outcomes == ({True} if gap == 0 else {True, False})
 
     def test_rejects_bad_outer_map(self):
         S = full_universe(3)

@@ -620,21 +620,27 @@ def exact_lbin_distribution(universe_dim: int, bin_dim: int,
     return dist
 
 
+def distribution_mean(dist: Mapping[int, int]) -> Fraction:
+    """Mean largest bin of an `exact_lbin_distribution` result, as a rational."""
+    return Fraction(sum(v * c for v, c in dist.items()), sum(dist.values()))
+
+
+def distribution_tail(dist: Mapping[int, int], ell: int) -> Fraction:
+    """P[largest bin >= ell] from an `exact_lbin_distribution` result."""
+    if ell < 1:
+        raise ValueError("threshold must be >= 1")
+    return Fraction(sum(c for v, c in dist.items() if v >= ell), sum(dist.values()))
+
+
 def exact_expected_lbin(universe_dim: int, bin_dim: int, S: BallSet) -> Fraction:
     """Exact mean largest bin over every linear map, as a rational."""
-    dist = exact_lbin_distribution(universe_dim, bin_dim, S)
-    total_maps = 1 << (universe_dim * bin_dim)
-    return Fraction(sum(v * c for v, c in dist.items()), total_maps)
+    return distribution_mean(exact_lbin_distribution(universe_dim, bin_dim, S))
 
 
 def exact_tail_probability(universe_dim: int, bin_dim: int, S: BallSet,
                            ell: int) -> Fraction:
     """Exact P[largest bin >= ell] under a uniform linear map."""
-    if ell < 1:
-        raise ValueError("threshold must be >= 1")
-    dist = exact_lbin_distribution(universe_dim, bin_dim, S)
-    total_maps = 1 << (universe_dim * bin_dim)
-    return Fraction(sum(c for v, c in dist.items() if v >= ell), total_maps)
+    return distribution_tail(exact_lbin_distribution(universe_dim, bin_dim, S), ell)
 
 
 # ---------------------------------------------------------------------------

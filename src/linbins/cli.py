@@ -29,11 +29,12 @@ from .ballsbins import (
     chi_square_sf,
     chi_square_statistic,
     check_e1_e2_implication,
+    distribution_mean,
+    distribution_tail,
     estimate_tail,
     event_e2,
     event_e2_direct,
-    exact_expected_lbin,
-    exact_tail_probability,
+    exact_lbin_distribution,
     generate_set,
     pairwise_independence_check,
     subspace_structure,
@@ -252,7 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     S = build_ball_set(config)
-    expected = exact_expected_lbin(config.universe_dim, config.bin_dim, S)
+    dist = exact_lbin_distribution(config.universe_dim, config.bin_dim, S)
+    expected = distribution_mean(dist)
     base = {
         "u": config.universe_dim,
         "b": config.bin_dim,
@@ -263,7 +265,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     rows = [dict(base, experiment="exact-mean", lbin=str(expected))]
     tails = {}
     for ell in config.thresholds:
-        p = exact_tail_probability(config.universe_dim, config.bin_dim, S, ell)
+        p = distribution_tail(dist, ell)
         tails[ell] = str(p)
         rows.append(dict(base, experiment="exact-tail", threshold=ell, freq=str(p)))
     json_summary = {
@@ -350,9 +352,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_composition_uniformity(seed, samples, inject_fault):
+def _check_composition_uniformity(rng, samples, inject_fault=False):
     u, f, b = 2, 2, 1
-    rng = substream(seed, "verify", "composition")
     T1 = sample_surjective(f, b, rng)
     tally = Counter()
     for _ in range(samples):
@@ -366,11 +367,11 @@ def _check_composition_uniformity(seed, samples, inject_fault):
     expected = [samples / len(cells)] * len(cells)
     stat = chi_square_statistic(observed, expected)
     p = chi_square_sf(stat, len(cells) - 1)
-    ok = p >= 0.001
+    ok = len(cells) == 1 << (u * b) and p >= 0.001
     return ok, f"chi2={stat:.3f} df={len(cells) - 1} p={p:.5f} n={samples}"
 
 
-def _check_factorization_count(seed, dims):
+def _check_factorization_count(dims):
     mismatches = 0
     cases = 0
     for u, f, b in dims:
@@ -385,58 +386,61 @@ def _check_factorization_count(seed, dims):
     return mismatches == 0, f"{cases} cases, {mismatches} mismatches"
 
 
-def _check_e2_equivalence(seed, instances):
-    rng = substream(seed, "verify", "e2-equivalence")
+def _e2_instance(rng, draw_dims):
+    """A random ball set S, inner map T0: u -> f and surjective outer map T1: f -> b."""
+    u, f, b = draw_dims(rng)
+    S = generate_set("random", u, rng.randint(1, 1 << u), rng)
+    return S, sample_uniform_linear(u, f, rng), sample_surjective(f, b, rng)
+
+
+def _check_e2_equivalence(rng, instances, draw_dims):
     disagreements = 0
     for _ in range(instances):
-        u = rng.randint(1, 4)
-        f = rng.randint(1, min(u, 3))
-        b = rng.randint(1, min(f, 2))
-        S = generate_set("random", u, rng.randint(1, 1 << u), rng)
-        T0 = sample_uniform_linear(u, f, rng)
-        T1 = sample_surjective(f, b, rng)
+        S, T0, T1 = _e2_instance(rng, draw_dims)
         if event_e2(S, T0, T1) != event_e2_direct(S, T0, T1):
             disagreements += 1
     return disagreements == 0, f"{instances} instances, {disagreements} disagreements"
 
 
-def _check_implication(seed, instances):
-    rng = substream(seed, "verify", "implication")
+def _check_implication(rng, instances, draw_dims):
     violations = 0
     for _ in range(instances):
-        u = rng.randint(2, 4)
-        f = rng.randint(1, min(u, 3))
-        b = rng.randint(1, min(f, 2))
-        S = generate_set("random", u, rng.randint(1, 1 << u), rng)
-        T0 = sample_uniform_linear(u, f, rng)
-        T1 = sample_surjective(f, b, rng)
+        S, T0, T1 = _e2_instance(rng, draw_dims)
         report = check_e1_e2_implication(S, T0, T1, rng.randint(1, S.size + 1))
         violations += report.violations
     return violations == 0, f"{instances} instances, {violations} violations"
 
 
-def _check_pairwise(seed):
-    worst = 0.0
-    ok = True
-    for u, b in ((2, 1), (3, 2)):
-        report = pairwise_independence_check(u, b, mode="exact")
-        ok = ok and report.ok
-        worst = max(worst, report.max_abs_error)
-    return ok, f"exact modes (2,1),(3,2), max cell error {worst}"
+def _check_pairwise():
+    # exact mode has tolerance 0: every cell frequency must equal 2^(-2b)
+    worst = max(pairwise_independence_check(u, b, mode="exact").max_abs_error
+                for u, b in ((2, 1), (3, 2)))
+    return worst == 0.0, f"exact modes (2,1),(3,2), max cell error {worst}"
 
 
-def _check_subspace_structure(seed, instances):
-    rng = substream(seed, "verify", "subspace")
+def _check_subspace_structure(rng, instances, draw_dims):
     failures = 0
     for _ in range(instances):
-        u = rng.randint(2, 4)
-        d = rng.randint(0, min(u, 3))
-        b = rng.randint(1, 2)
+        u, d, b = draw_dims(rng)
         S = generate_set("subspace", u, d, rng)
         T = sample_uniform_linear(u, b, rng)
         if not subspace_structure(T, S).ok:
             failures += 1
     return failures == 0, f"{instances} instances, {failures} failures"
+
+
+def _verify_e2_dims(low_u):
+    """verify's (u, f, b) draw for the E2 checks: u in [low_u, 4], f <= 3, b <= 2."""
+    def draw(rng):
+        u = rng.randint(low_u, 4)
+        f = rng.randint(1, min(u, 3))
+        return u, f, rng.randint(1, min(f, 2))
+    return draw
+
+
+def _verify_subspace_dims(rng):
+    u = rng.randint(2, 4)
+    return u, rng.randint(0, min(u, 3)), rng.randint(1, 2)
 
 
 VERIFY_CHECKS = (
@@ -450,24 +454,28 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.check and args.check not in VERIFY_CHECKS:
-        raise UsageError(
-            f"unknown check {args.check!r} (choose from {', '.join(VERIFY_CHECKS)})"
-        )
     selected = (args.check,) if args.check else VERIFY_CHECKS
     dims = [(3, 2, 1), (2, 2, 1)]
     if args.u is not None and args.f is not None and args.b is not None:
         dims = [(args.u, args.f, args.b)]
+
+    def rng(label):
+        return substream(args.seed, "verify", label)
+
     runners = {
         "composition-uniformity": lambda: _check_composition_uniformity(
-            args.seed, args.samples, args.inject_fault
+            rng("composition"), args.samples, args.inject_fault
         ),
-        "factorization-count": lambda: _check_factorization_count(args.seed, dims),
-        "e2-equivalence": lambda: _check_e2_equivalence(args.seed, args.instances),
-        "e1-e2-implication": lambda: _check_implication(args.seed, args.instances),
-        "pairwise-independence": lambda: _check_pairwise(args.seed),
+        "factorization-count": lambda: _check_factorization_count(dims),
+        "e2-equivalence": lambda: _check_e2_equivalence(
+            rng("e2-equivalence"), args.instances, _verify_e2_dims(1)
+        ),
+        "e1-e2-implication": lambda: _check_implication(
+            rng("implication"), args.instances, _verify_e2_dims(2)
+        ),
+        "pairwise-independence": _check_pairwise,
         "subspace-structure": lambda: _check_subspace_structure(
-            args.seed, args.instances
+            rng("subspace"), args.instances, _verify_subspace_dims
         ),
     }
     all_ok = True
@@ -558,10 +566,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, emits_rows=True):
         sp.add_argument("--seed", type=int, default=_default_seed())
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None)
+        if emits_rows:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+            sp.add_argument("--out", default=None)
         sp.add_argument("--config", default=None,
                         help="JSON file with flag defaults (flags win)")
 
@@ -604,8 +613,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("verify", help="exhaustive small-dimension self checks")
-    sp.add_argument("--check", default=None,
-                    help=f"run one check: {', '.join(VERIFY_CHECKS)}")
+    sp.add_argument("--check", choices=VERIFY_CHECKS, default=None,
+                    help="run one check")
     sp.add_argument("--samples", type=int, default=20_000,
                     help="draws for the composition uniformity chi-square")
     sp.add_argument("--instances", type=int, default=1_000,
@@ -615,7 +624,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--inject-fault", action="store_true",
                     help="negative control: corrupt the composition check")
-    common(sp)
+    common(sp, emits_rows=False)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("table-bench", help="hash table workload statistics")

@@ -6,49 +6,35 @@ report lines.  Tolerances are fixed here, not tuned at runtime.
 
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 
 from linbins.ballsbins import (
+    BallSet,
     ExperimentConfig,
-    chi_square_sf,
-    chi_square_statistic,
-    check_e1_e2_implication,
     estimate_tail,
-    event_e2,
-    event_e2_direct,
     exact_expected_lbin,
     generate_set,
     largest_bin,
-    pairwise_independence_check,
-    subspace_structure,
     substream,
 )
-from linbins.ballsbins import BallSet
 from linbins.bounds import bound_e2, bound_tail, c_epsilon, tail_bound_parameters
-from linbins.cli import main
-from linbins.gf2 import (
-    LinearMap,
-    all_matrices,
-    compose,
-    count_factorizations,
-    rank,
-    is_surjective,
-    sample_surjective,
-    sample_uniform_linear,
+from linbins.cli import (
+    _check_composition_uniformity,
+    _check_e2_equivalence,
+    _check_factorization_count,
+    _check_implication,
+    _check_pairwise,
+    _check_subspace_structure,
+    main,
 )
+from linbins.gf2 import GF2Vector, sample_uniform_linear
 from linbins.hashtable import LinearHashTable
-from linbins.gf2 import GF2Vector
 
 MASTER = 20260808
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {num:02d} {'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-
-def all_linear_maps(in_dim, out_dim):
-    return (LinearMap.from_row_bits(in_dim, rows) for rows in all_matrices(in_dim, out_dim))
 
 
 def test_criterion_01_exact_oracle_match():
@@ -97,103 +83,51 @@ def test_criterion_02_monte_carlo_matches_exact(tmp_path):
 
 def test_criterion_03_composition_uniformity():
     rng = substream(MASTER, "acceptance", "composition")
-    T1 = sample_surjective(2, 1, rng)
-    tally = Counter()
-    n = 100_000
-    for _ in range(n):
-        T0 = sample_uniform_linear(2, 2, rng)
-        tally[compose(T1, T0).row_bits] += 1
-    cells = [T.row_bits for T in all_linear_maps(2, 1)]
-    observed = [tally.get(c, 0) for c in cells]
-    stat = chi_square_statistic(observed, [n / len(cells)] * len(cells))
-    p = chi_square_sf(stat, len(cells) - 1)
-    ok = len(observed) == 4 and p >= 0.001
-    report(3, "composition uniformity", ok,
-           f"chi2 = {stat:.3f}, df = 3, p = {p:.4f} over {n} draws")
+    ok, detail = _check_composition_uniformity(rng, 100_000)  # ok requires 4 cells
+    report(3, "composition uniformity", ok, detail)
     assert ok
 
 
 def test_criterion_04_factorization_counts():
     t0 = time.perf_counter()
-    mismatches = 0
-    cases = 0
-    for u, f, b in ((3, 2, 1), (2, 2, 1)):
-        surjective = [T1 for T1 in all_linear_maps(f, b) if is_surjective(T1)]
-        for T in all_linear_maps(u, b):
-            want = 1 << ((f - b) * (u - rank(T)))
-            for T1 in surjective:
-                cases += 1
-                if count_factorizations(T, T1) != want:
-                    mismatches += 1
+    ok, detail = _check_factorization_count(((3, 2, 1), (2, 2, 1)))
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and elapsed < 30.0
-    report(4, "factorization count", ok,
-           f"{cases} (map, outer) cases, {mismatches} mismatches, {elapsed:.1f}s")
+    ok = ok and elapsed < 30.0
+    report(4, "factorization count", ok, f"{detail}, {elapsed:.1f}s")
     assert ok
+
+
+def _e2_dims(low_u):
+    def draw(rng):
+        u = rng.randint(low_u, 5)
+        f = rng.randint(1, 4)
+        return u, f, rng.randint(1, min(f, 3))
+    return draw
 
 
 def test_criterion_05_e2_two_routes_agree():
     rng = substream(MASTER, "acceptance", "e2")
-    disagreements = 0
-    n = 10_000
-    for _ in range(n):
-        u = rng.randint(1, 5)
-        f = rng.randint(1, 4)
-        b = rng.randint(1, min(f, 3))
-        S = generate_set("random", u, rng.randint(1, 1 << u), rng)
-        T0 = sample_uniform_linear(u, f, rng)
-        T1 = sample_surjective(f, b, rng)
-        if event_e2(S, T0, T1) != event_e2_direct(S, T0, T1):
-            disagreements += 1
-    ok = disagreements == 0
-    report(5, "fiber-coverage route agreement", ok,
-           f"{n} random instances, {disagreements} disagreements")
+    ok, detail = _check_e2_equivalence(rng, 10_000, _e2_dims(1))
+    report(5, "fiber-coverage route agreement", ok, detail)
     assert ok
 
 
 def test_criterion_06_e1_implies_e2():
     rng = substream(MASTER, "acceptance", "implication")
-    violations = 0
-    n = 10_000
-    for _ in range(n):
-        u = rng.randint(2, 5)
-        f = rng.randint(1, 4)
-        b = rng.randint(1, min(f, 3))
-        S = generate_set("random", u, rng.randint(1, 1 << u), rng)
-        T0 = sample_uniform_linear(u, f, rng)
-        T1 = sample_surjective(f, b, rng)
-        ell = rng.randint(1, S.size + 1)
-        violations += check_e1_e2_implication(S, T0, T1, ell).violations
-    ok = violations == 0
-    report(6, "overload-implies-coverage audit", ok,
-           f"{n} random instances, {violations} violations")
+    ok, detail = _check_implication(rng, 10_000, _e2_dims(2))
+    report(6, "overload-implies-coverage audit", ok, detail)
     assert ok
 
 
 def test_criterion_07_pairwise_independence_exact():
-    r1 = pairwise_independence_check(2, 1, mode="exact")
-    r2 = pairwise_independence_check(3, 2, mode="exact")
-    ok = (
-        r1.ok and r2.ok
-        and r1.max_abs_error == 0.0
-        and r2.max_abs_error == 0.0
-    )
-    report(7, "pairwise independence", ok,
-           f"(u=2,b=1): {r1.cells_checked} cells, (u=3,b=2): {r2.cells_checked} "
-           f"cells, max error {max(r1.max_abs_error, r2.max_abs_error)}")
+    ok, detail = _check_pairwise()  # ok requires max cell error 0.0
+    report(7, "pairwise independence", ok, detail)
     assert ok
 
 
 def test_criterion_08_subspace_structure():
     rng = substream(MASTER, "acceptance", "subspace")
-    failures = 0
-    n = 1_000
-    for _ in range(n):
-        S = generate_set("subspace", 8, 4, rng)
-        T = sample_uniform_linear(8, 4, rng)
-        rep = subspace_structure(T, S)
-        if not (rep.uniform_ok and rep.zero_is_largest_ok and rep.count_ok):
-            failures += 1
+    ok, detail = _check_subspace_structure(rng, 1_000, lambda rng: (8, 4, 4))
     means = {}
     for b in (4, 6, 8):
         vals = []
@@ -202,10 +136,9 @@ def test_criterion_08_subspace_structure():
             T = sample_uniform_linear(8, b, rng)
             vals.append(largest_bin(T, S))
         means[b] = sum(vals) / len(vals)
-    ok = failures == 0 and all(m <= 4.0 for m in means.values())
+    ok = ok and all(m <= 4.0 for m in means.values())
     report(8, "subspace bin structure", ok,
-           f"{n} instances, {failures} failures; mean lbin "
-           + ", ".join(f"b={b}: {m:.3f}" for b, m in means.items()))
+           f"{detail}; mean lbin " + ", ".join(f"b={b}: {m:.3f}" for b, m in means.items()))
     assert ok
 
 

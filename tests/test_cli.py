@@ -1,10 +1,14 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from linbins import ballsbins
 from linbins.cli import CSV_HEADER, main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -98,6 +102,23 @@ class TestExact:
         }
         assert tails == {"2": "1", "4": "1/4"}
 
+    def test_maps_enumerated_once(self, tmp_path, monkeypatch):
+        calls = []
+        all_matrices = ballsbins.all_matrices
+
+        def counting(in_dim, out_dim):
+            calls.append((in_dim, out_dim))
+            return all_matrices(in_dim, out_dim)
+
+        monkeypatch.setattr(ballsbins, "all_matrices", counting)
+        code, text = run_to_file(tmp_path, "exact.csv", [
+            "exact", "--u", "4", "--b", "2", "--set", "random", "--set-size", "6",
+            "--thresholds", "1,2,4",
+        ])
+        assert code == 0
+        assert sum(r.startswith("exact-tail,") for r in data_rows(text)) == 3
+        assert calls == [(4, 2)]
+
     def test_size_guard_exit(self, capsys):
         assert main([
             "exact", "--u", "6", "--b", "6", "--set", "interval", "--set-size", "4",
@@ -155,6 +176,22 @@ class TestVerify:
 
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "nope"]) == 1
+
+    @pytest.mark.parametrize("argv,golden", [
+        (["verify"], "verify-default.txt"),
+        (["verify", "--seed", "7"], "verify-seed7.txt"),
+    ])
+    def test_stdout_pinned(self, argv, golden, capsys, monkeypatch):
+        monkeypatch.delenv("LINBINS_SEED", raising=False)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--out", "verify.txt"], ["--format", "json"]])
+    def test_output_flags_rejected(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--check", "pairwise-independence"] + flag) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "verify.txt").exists()
 
     def test_injected_fault_detected(self, capsys):
         code = main([
@@ -292,6 +329,7 @@ class TestFailureExitCodes:
         ("simulate", {"u": 2, "b": 1, "set_size": 4, "set": "bogus"}),
         ("simulate", {"u": 2, "b": 1, "set_size": 4, "thresholds": [2, "x"]}),
         ("verify", {"inject_fault": 1}),
+        ("verify", {"check": "nope"}),
     ])
     def test_config_values_checked_like_flags(self, sub, config, tmp_path, capsys):
         cfg = tmp_path / "run.json"

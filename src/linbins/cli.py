@@ -25,6 +25,7 @@ from .ballsbins import (
     ExperimentConfig,
     RNG_ALGORITHM,
     SEED_SCHEME,
+    SET_KINDS,
     build_ball_set,
     chi_square_sf,
     chi_square_statistic,
@@ -455,9 +456,6 @@ VERIFY_CHECKS = (
 
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = (args.check,) if args.check else VERIFY_CHECKS
-    dims = [(3, 2, 1), (2, 2, 1)]
-    if args.u is not None and args.f is not None and args.b is not None:
-        dims = [(args.u, args.f, args.b)]
 
     def rng(label):
         return substream(args.seed, "verify", label)
@@ -466,7 +464,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "composition-uniformity": lambda: _check_composition_uniformity(
             rng("composition"), args.samples, args.inject_fault
         ),
-        "factorization-count": lambda: _check_factorization_count(dims),
+        "factorization-count": lambda: _check_factorization_count(
+            ((3, 2, 1), (2, 2, 1))
+        ),
         "e2-equivalence": lambda: _check_e2_equivalence(
             rng("e2-equivalence"), args.instances, _verify_e2_dims(1)
         ),
@@ -577,9 +577,7 @@ def build_parser() -> _Parser:
     def set_flags(sp):
         sp.add_argument("--u", type=int, default=None)
         sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--set", choices=("interval", "random", "subspace",
-                                          "affine", "cluster"),
-                        default="interval")
+        sp.add_argument("--set", choices=SET_KINDS, default="interval")
         sp.add_argument("--set-size", type=int, default=None)
         sp.add_argument("--set-dim", type=int, default=None)
         sp.add_argument("--thresholds", type=_parse_int_list, default=(1,))
@@ -619,9 +617,6 @@ def build_parser() -> _Parser:
                     help="draws for the composition uniformity chi-square")
     sp.add_argument("--instances", type=int, default=1_000,
                     help="random instances for equivalence style checks")
-    sp.add_argument("--u", type=int, default=None)
-    sp.add_argument("--f", type=int, default=None)
-    sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--inject-fault", action="store_true",
                     help="negative control: corrupt the composition check")
     common(sp, emits_rows=False)

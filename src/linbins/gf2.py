@@ -257,17 +257,6 @@ def _rref_bits(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     return work[:rank], pivots
 
 
-def _invert_rows(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse of an n x n matrix given as packed rows; raises if singular.
-
-    Row-reduces [A | I]: when A reduces to I, the right half is A^-1.
-    """
-    reduced, pivots = _rref_bits([r | 1 << (n + i) for i, r in enumerate(rows)], n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular over GF(2)")
-    return [r >> n for r in reduced]
-
-
 def _apply_rows(rows: Sequence[int], xbits: int) -> int:
     """Matrix times vector: output bit i is the parity of row i AND x."""
     out = 0
@@ -366,41 +355,27 @@ def is_surjective(T: LinearMap) -> bool:
 def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
     """A direct-sum complement: independent of sub, together spanning everything.
 
-    Built from standard basis vectors that are independent of the running
-    span, so complement vectors are always unit vectors.
+    The unit vectors at the non-pivot columns of sub's reduced row echelon
+    form.  They vanish on every pivot, where the reduced rows are unit
+    vectors, so only 0 lies in both spans and the dimensions add up.
     """
     n = sub.ambient_dim
-    echelon: list[int] = []
-
-    def reduce(v: int) -> int:
-        for w in echelon:
-            low = w & -w
-            if v & low:
-                v ^= w
-        return v
-
-    for v in sub.basis_bits:
-        echelon.append(reduce(v))
-    complement = []
-    for i in range(n):
-        r = reduce(1 << i)
-        if r:
-            complement.append(1 << i)
-            echelon.append(r)
-    return SubspaceBasis(n, tuple(complement))
+    _, pivots = _rref_bits(sub.basis_bits, n)
+    return SubspaceBasis(n, tuple(1 << i for i in range(n) if i not in pivots))
 
 
 def _section_columns(T1: LinearMap) -> list[int]:
     """Columns of a right inverse of a surjective linear map T1.
 
-    T1 sends column i to unit vector i.  T1 restricted to the direct-sum
-    complement of its kernel is a bijection onto the output space, and the
-    columns are the preimages of the unit vectors found there.
+    T1 sends column i to unit vector i.  Row-reducing [T1 | I] gives [R | E]
+    with E T1 = R; R's column at the pivot p_k of row k is unit vector k, so
+    the vector with bit p_k set wherever E[k][i] is set maps under R to E's
+    column i, and under T1 to unit vector i.
     """
-    comp1 = complement_basis(kernel_basis(T1)).basis_bits
-    b = T1.out_dim
-    vinv = _invert_rows(_transpose([T1.apply_bits(c) for c in comp1], b), b)
-    return [_xor_select(comp1, _apply_rows(vinv, 1 << i)) for i in range(b)]
+    f = T1.in_dim
+    reduced, pivots = _rref_bits([r | 1 << (f + i) for i, r in enumerate(T1.row_bits)], f)
+    return [sum(1 << p for r, p in zip(reduced, pivots) if (r >> (f + i)) & 1)
+            for i in range(T1.out_dim)]
 
 
 def byte_apply_tables(T: LinearMap) -> list[list[int]]:
@@ -501,32 +476,24 @@ def _check_factor_args(T: LinearMap, T1: LinearMap) -> None:
 def sample_factor_t0(T: LinearMap, T1: LinearMap, rng: random.Random) -> LinearMap:
     """Sample a factor map T0 with T1 after T0 equal to T.
 
-    Construction: fix direct-sum complements of both kernels; the complement
-    part of x goes to the unique complement-side preimage of T(x) under T1,
-    and the kernel part goes through a uniformly random map from Ker(T) to
-    Ker(T1).  Each of the 2^((f-b)*dim Ker(T)) kernel-to-kernel maps yields
-    one canonical factor map, sampled uniformly.
+    Construction: split the domain into Ker(T) and the unit vectors at the
+    pivot columns of T's reduced row echelon form, so unit vector j has
+    kernel coordinates one-hot at a free column j and zero at a pivot.  x
+    goes to the section preimage of T(x) under T1, plus the image of its
+    kernel part under a uniformly random map from Ker(T) to Ker(T1).  Each of
+    the 2^((f-b)*dim Ker(T)) kernel-to-kernel maps yields one canonical
+    factor map, sampled uniformly.
     """
     _check_factor_args(T, T1)
     u, f = T.in_dim, T1.in_dim
-
-    ker = kernel_basis(T)
-    comp = complement_basis(ker)
+    _, pivots = _rref_bits(T.row_bits, u)
+    free = [j for j in range(u) if j not in pivots]
     ker1_bits = kernel_basis(T1).basis_bits
     section = _section_columns(T1)
-
-    # Domain change of basis: kernel vectors first, complement after.
-    pinv = _invert_rows(_transpose(ker.basis_bits + comp.basis_bits, u), u)
-
-    kmask = (1 << ker.dim) - 1
-    m_rows = [rng.getrandbits(ker.dim) for _ in ker1_bits]
-
-    t_cols = T.column_bits
-    t0_cols = []
-    for j in range(u):
-        k_coords = _apply_rows(pinv, 1 << j) & kmask
-        through_kernel = _xor_select(ker1_bits, _apply_rows(m_rows, k_coords))
-        t0_cols.append(_xor_select(section, t_cols[j]) ^ through_kernel)
+    m_rows = [rng.getrandbits(len(free)) for _ in ker1_bits]
+    t0_cols = [_xor_select(section, col) for col in T.column_bits]
+    for k, j in enumerate(free):
+        t0_cols[j] ^= _xor_select(ker1_bits, _apply_rows(m_rows, 1 << k))
     return LinearMap.from_column_bits(u, f, t0_cols)
 
 

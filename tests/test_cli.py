@@ -186,7 +186,10 @@ class TestVerify:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
-    @pytest.mark.parametrize("flag", [["--out", "verify.txt"], ["--format", "json"]])
+    @pytest.mark.parametrize("flag", [
+        ["--out", "verify.txt"], ["--format", "json"],
+        ["--u", "5"], ["--f", "4"], ["--b", "1"],
+    ])
     def test_output_flags_rejected(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--check", "pairwise-independence"] + flag) == 1
@@ -330,6 +333,9 @@ class TestFailureExitCodes:
         ("simulate", {"u": 2, "b": 1, "set_size": 4, "thresholds": [2, "x"]}),
         ("verify", {"inject_fault": 1}),
         ("verify", {"check": "nope"}),
+        ("verify", {"u": 5}),
+        ("verify", {"f": 4}),
+        ("verify", {"b": 1}),
     ])
     def test_config_values_checked_like_flags(self, sub, config, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -11,6 +11,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
+    _section_columns,
     all_matrices,
     batch_apply_bits,
     complement_basis,
@@ -328,12 +329,27 @@ class TestSubspaceBasis:
 
     def test_complement_direct_sum_random(self):
         rng = random.Random(9)
+        subs = []
         for _ in range(40):
             u = rng.randint(1, 8)
             b = rng.randint(1, 8)
-            sub = kernel_basis(sample_uniform_linear(u, b, rng))
+            subs.append(kernel_basis(sample_uniform_linear(u, b, rng)))
+        # plain subspaces: random independent vectors, empty and full bases
+        for u in range(1, 9):
+            for _ in range(5):
+                vecs = []
+                for _ in range(rng.randint(1, u)):
+                    v = rng.getrandbits(u)
+                    if rank(LinearMap.from_row_bits(u, vecs + [v])) > len(vecs):
+                        vecs.append(v)
+                subs.append(SubspaceBasis(u, tuple(vecs)))
+            subs.append(SubspaceBasis(u, ()))
+            subs.append(SubspaceBasis(u, sample_surjective(u, u, rng).row_bits))
+        for sub in subs:
+            u = sub.ambient_dim
             comp = complement_basis(sub)
             assert sub.dim + comp.dim == u
+            assert all(v & (v - 1) == 0 for v in comp.basis_bits)
             # disjoint spans and joint independence mean a direct sum
             SubspaceBasis.from_vectors(u, sub.basis + comp.basis)
 
@@ -488,6 +504,17 @@ class TestFactorization:
             assert sample_factor_t0(T, T1, rng) == first
         assert count_factorizations(T, T1) == 1
 
+    def test_section_columns_right_inverse(self):
+        rng = random.Random(71)
+        for f in range(1, 13):
+            for b in sorted({1, rng.randint(1, f), f}):
+                for _ in range(4):
+                    T1 = sample_surjective(f, b, rng)
+                    section = _section_columns(T1)
+                    assert len(section) == b
+                    for i, col in enumerate(section):
+                        assert T1.apply_bits(col) == 1 << i
+
     def test_not_surjective_rejected(self):
         T = sample_uniform_linear(3, 1, random.Random(0))
         with pytest.raises(ValueError):
@@ -521,12 +548,12 @@ class TestFactorization:
 
     def test_sampled_factor_always_in_exhaustive_set(self):
         rng = random.Random(61)
-        T1 = LinearMap.from_row_bits(2, [0b11])
-        for T in all_linear_maps(3, 1):
-            valid = {
-                T0.row_bits
-                for T0 in all_linear_maps(3, 2)
-                if compose(T1, T0) == T
-            }
-            for _ in range(10):
-                assert sample_factor_t0(T, T1, rng).row_bits in valid
+        for f, b in [(2, 1), (3, 1), (3, 2)]:
+            for T1 in surjective_maps(f, b):
+                for u in range(f, 4):
+                    valid = {}
+                    for T0 in all_linear_maps(u, f):
+                        valid.setdefault(compose(T1, T0).row_bits, set()).add(T0.row_bits)
+                    for T in all_linear_maps(u, b):
+                        for _ in range(10):
+                            assert sample_factor_t0(T, T1, rng).row_bits in valid[T.row_bits]

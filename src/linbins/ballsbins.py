@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .gf2 import (
     SIZE_GUARD_BITS,
+    BytePlanes,
     GF2Vector,
     LinearMap,
     SizeGuardError,
@@ -43,6 +46,10 @@ SET_KINDS = ("interval", "random", "subspace", "affine", "cluster")
 
 # The E2 check marks a 2^f-byte coverage array over the intermediate space.
 EVENT_DIM_CAP = 24
+
+# From this many balls on, an apply pass runs the batch kernel on byte planes;
+# below it the per-map table build costs more than scalar applies.
+BATCH_MIN = 256
 
 RNG_ALGORITHM = "python-random-mt19937"
 SEED_SCHEME = "sha256(master/label/index)"
@@ -124,7 +131,8 @@ class BallSet:
 
     basis_bits spans the set (subspace, affine) or its core (cluster), and
     shift_bits is the coset offset of an affine set.  `members`, `basis` and
-    `shift` are GF2Vector views of the packed fields.
+    `shift` are GF2Vector views of the packed fields; `planes` holds the
+    members as byte planes for the batch kernel, built on first use.
     """
 
     universe_dim: int
@@ -168,6 +176,10 @@ class BallSet:
     @property
     def size(self) -> int:
         return len(self.member_bits)
+
+    @cached_property
+    def planes(self) -> BytePlanes:
+        return BytePlanes.from_bits(self.member_bits, self.universe_dim)
 
     @property
     def descriptor(self) -> str:
@@ -279,14 +291,30 @@ class BinHistogram:
         return self.counts.get(label, 0)
 
 
-def _images(T: LinearMap, bits: Sequence[int]) -> list[int]:
-    if len(bits) >= 256:
-        return batch_apply_bits(T, bits)
-    return [T.apply_bits(x) for x in bits]
+def _balls(S: BallSet) -> BytePlanes | tuple[int, ...]:
+    """What an apply pass over S reads: its byte planes, or its packed members
+    when S is too small for the batch kernel."""
+    return S.planes if S.size >= BATCH_MIN else S.member_bits
 
 
-def _largest_bin_bits(T: LinearMap, bits: Sequence[int]) -> int:
-    return max(Counter(_images(T, bits)).values())
+def _images(T: LinearMap, balls: BytePlanes | Sequence[int]) -> list[int]:
+    if isinstance(balls, BytePlanes):
+        return batch_apply_bits(T, balls)
+    return [T.apply_bits(x) for x in balls]
+
+
+def _largest_load(images: Sequence[int], bin_dim: int) -> int:
+    """Size of the fullest bin among the labels in images.
+
+    Counts in a list indexed by label when there are at least as many balls
+    as bins, and in a Counter otherwise, so memory stays bounded by the input.
+    """
+    if (1 << bin_dim) > len(images):
+        return max(Counter(images).values())
+    counts = [0] * (1 << bin_dim)
+    for y in images:
+        counts[y] += 1
+    return max(counts)
 
 
 def _check_map_vs_set(T: LinearMap, S: BallSet) -> None:
@@ -297,7 +325,7 @@ def _check_map_vs_set(T: LinearMap, S: BallSet) -> None:
 def bin_counts(T: LinearMap, S: BallSet) -> BinHistogram:
     """Histogram of how many balls land on each bin label."""
     _check_map_vs_set(T, S)
-    tally = Counter(_images(T, S.member_bits))
+    tally = Counter(_images(T, _balls(S)))
     return BinHistogram(
         T.out_dim,
         {GF2Vector(T.out_dim, k): v for k, v in sorted(tally.items())},
@@ -307,7 +335,7 @@ def bin_counts(T: LinearMap, S: BallSet) -> BinHistogram:
 def largest_bin(T: LinearMap, S: BallSet) -> int:
     """Size of the fullest bin; between ceil(|S|/2^b) and |S|."""
     _check_map_vs_set(T, S)
-    return _largest_bin_bits(T, S.member_bits)
+    return _largest_load(_images(T, _balls(S)), T.out_dim)
 
 
 def event_e1(S: BallSet, T: LinearMap, ell: int) -> bool:
@@ -357,7 +385,7 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     t = T0.translation_bits
     Q = LinearMap(T0.in_dim, f, q_rows, t and _apply_rows(p_rows, t))
     covered = bytearray(1 << f)
-    for img in _images(Q, S.member_bits):
+    for img in _images(Q, _balls(S)):
         covered[img] = 1
     width = 1 << (f - b)
     block = b"\x01" * width
@@ -388,7 +416,7 @@ def _fibers(T1: LinearMap) -> Callable[[int], list[int]]:
 def event_e2_direct(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     """Fiber-by-fiber reference for event_e2: enumerate each fiber, test subset."""
     _check_event_args(S, T0, T1)
-    image = set(_images(T0, S.member_bits))
+    image = set(_images(T0, _balls(S)))
     fiber_of = _fibers(T1)
     for label in range(1 << T1.out_dim):
         if all(x in image for x in fiber_of(label)):
@@ -438,7 +466,7 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     e2 = event_e2(S, T0, T1)
 
     by_label: dict[int, list[int]] = {}
-    for x, y in zip(S.member_bits, _images(T, S.member_bits)):
+    for x, y in zip(S.member_bits, _images(T, _balls(S))):
         by_label.setdefault(y, []).append(x)
 
     witnesses = []
@@ -538,12 +566,12 @@ def build_ball_set(config: ExperimentConfig) -> BallSet:
 
 
 def _trial_chunk(args: tuple) -> list[int]:
-    master_seed, universe_dim, bin_dim, bits, start, stop = args
+    master_seed, universe_dim, bin_dim, balls, start, stop = args
     out = []
     for i in range(start, stop):
         rng = substream(master_seed, "trial", i)
         T = sample_uniform_linear(universe_dim, bin_dim, rng)
-        out.append(_largest_bin_bits(T, bits))
+        out.append(_largest_load(_images(T, balls), bin_dim))
     return out
 
 
@@ -557,19 +585,22 @@ def estimate_tail(config: ExperimentConfig, jobs: int = 1) -> TrialSummary:
 
     Each trial samples its map from an index-derived substream, so the result
     is one deterministic function of the config regardless of job count.
+    The pool never has more workers than CPUs or trials, whatever jobs asks.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     S = build_ball_set(config)
-    bits = S.member_bits
-    base = (config.master_seed, config.universe_dim, config.bin_dim, bits)
-    if jobs <= 1:
+    base = (config.master_seed, config.universe_dim, config.bin_dim, _balls(S))
+    workers = min(jobs, os.cpu_count() or 1, config.trials)
+    if workers == 1:
         values = _trial_chunk(base + (0, config.trials))
     else:
-        chunk = max(1, -(-config.trials // (jobs * 4)))
+        chunk = -(-config.trials // (workers * 4))
         tasks = [
             base + (start, min(start + chunk, config.trials))
             for start in range(0, config.trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(_trial_chunk, tasks) for v in part]
     return summarize_trials(config, S, values)
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -159,6 +160,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     if not values:
         raise UsageError(f"empty number list {text!r}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise UsageError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise UsageError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _require_dims(args: argparse.Namespace) -> None:
@@ -480,9 +491,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     all_ok = True
     for name in selected:
+        start = time.perf_counter()
         ok, detail = runners[name]()
+        elapsed = time.perf_counter() - start
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"time {name}: {elapsed:.3f} s", file=sys.stderr)
     return 0 if all_ok else 3
 
 
@@ -585,7 +599,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="Monte Carlo largest-bin estimation")
     set_flags(sp)
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1,
+                    help="worker processes, capped at the CPU count and the trials")
     common(sp)
     sp.set_defaults(func=cmd_simulate)
 

@@ -395,17 +395,41 @@ def byte_apply_tables(T: LinearMap) -> list[list[int]]:
     return tables
 
 
-def batch_apply_bits(T: LinearMap, xs: Sequence[int]) -> list[int]:
-    """Apply T to many packed inputs, one list pass per input byte.
+@dataclass(frozen=True)
+class BytePlanes:
+    """Packed inputs split by byte: planes[c][i] is byte c of input i.
 
-    Agrees bit for bit with apply_bits; worthwhile once the input count
-    clears a few hundred.
+    One plane per started byte of the input width, so a set of n inputs
+    costs n bytes per plane.  len() is the number of inputs.
+    """
+
+    planes: tuple[bytes, ...]
+
+    @classmethod
+    def from_bits(cls, xs: Sequence[int], width: int) -> "BytePlanes":
+        # The only transient is one list of (shared) small ints per plane; an
+        # object per input, such as x.to_bytes(), raises peak memory on big sets.
+        return cls(tuple(bytes([(x >> s) & 255 for x in xs]) for s in range(0, width, 8)))
+
+    def __len__(self) -> int:
+        return len(self.planes[0])
+
+
+def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
+    """Apply T to many packed inputs, one list pass per byte plane.
+
+    Each pass indexes a per-byte table straight by the plane's bytes, with no
+    shift or mask.  Agrees bit for bit with apply_bits; worthwhile once the
+    input count clears a few hundred.
     """
     tables = byte_apply_tables(T)
-    out = [tables[0][x & 255] for x in xs]
-    for c in range(1, len(tables)):
-        table, shift = tables[c], 8 * c
-        out = [y ^ table[(x >> shift) & 255] for y, x in zip(out, xs)]
+    planes = xs.planes
+    if len(planes) != len(tables):
+        raise ValueError(f"map takes {T.in_dim} bits, inputs have {len(planes)} byte planes")
+    first = tables[0]
+    out = [first[a] for a in planes[0]]
+    for table, plane in zip(tables[1:], planes[1:]):
+        out = [y ^ table[a] for y, a in zip(out, plane)]
     return out
 
 

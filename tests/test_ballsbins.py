@@ -2,12 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linbins import ballsbins
 from linbins.ballsbins import (
+    BATCH_MIN,
     BallSet,
     ExperimentConfig,
     SET_KINDS,
@@ -37,6 +40,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     _rank_of_bits,
+    compose,
     identity,
     kernel_basis,
     sample_surjective,
@@ -255,6 +259,85 @@ class TestBinCounts:
             y = naive_apply_bits(T.row_bits, x)
             naive[y] = naive.get(y, 0) + 1
         assert {k.bits: v for k, v in h.counts.items()} == naive
+
+
+class TestBatchPath:
+    """The byte-plane path against scalar oracles, around the BATCH_MIN cutoff."""
+
+    SIZES = (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_bins_match_scalar(self, size, affine):
+        rng = random.Random(size * 2 + affine)
+        sample = sample_uniform_affine if affine else sample_uniform_linear
+        for u in (9, 20, 33):
+            S = generate_set("random", u, size, rng)
+            for b in (4, 8, 9, 12):
+                T = sample(u, b, rng)
+                naive = Counter(T.apply_bits(x) for x in S.member_bits)
+                assert {k.bits: v for k, v in bin_counts(T, S).counts.items()} == naive
+                assert largest_bin(T, S) == max(naive.values())
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_e2_matches_counting(self, size):
+        rng = random.Random(20 + size)
+        for _ in range(40):
+            u = rng.randint(9, 20)
+            f = rng.randint(6, 8)
+            b = rng.randint(f - 3, f - 1)
+            S = generate_set("random", u, size, rng)
+            T0 = sample_uniform_linear(u, f, rng)
+            T1 = sample_surjective(f, b, rng)
+            inner = {T0.apply_bits(x) for x in S.member_bits}
+            per_label = Counter(T1.apply_bits(z) for z in inner)
+            want = max(per_label.values()) == 1 << (f - b)
+            assert event_e2(S, T0, T1) == want
+            assert event_e2_direct(S, T0, T1) == want
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_implication_hits_match_scalar(self, size):
+        rng = random.Random(40 + size)
+        S = generate_set("random", 12, size, rng)
+        T0 = sample_uniform_linear(12, 7, rng)
+        T1 = sample_surjective(7, 3, rng)
+        T = compose(T1, T0)
+        by_label = {}
+        for x in S.member_bits:
+            by_label.setdefault(T.apply_bits(x), []).append(x)
+        ell = 30
+        report = check_e1_e2_implication(S, T0, T1, ell)
+        assert {w.label.bits: [h.bits for h in w.hits] for w in report.witnesses} == {
+            y: xs for y, xs in by_label.items() if len(xs) >= ell
+        }
+
+    @pytest.mark.parametrize("b", [7, 8, 9])
+    def test_list_counter_matches_counter(self, b):
+        # 255..257 balls into 2^7..2^9 bins fall on both sides of 2^b == |S|
+        rng = random.Random(60 + b)
+        for size in self.SIZES:
+            for _ in range(20):
+                images = [rng.getrandbits(b) for _ in range(size)]
+                assert ballsbins._largest_load(images, b) == max(Counter(images).values())
+        edge = [0] * 3 + list(range(1, (1 << b) - 2))
+        assert len(edge) == (1 << b)
+        assert ballsbins._largest_load(edge, b) == 3
+        assert ballsbins._largest_load(edge[:-1], b) == 3
+
+    def test_planes_built_lazily_and_once(self):
+        S = generate_set("random", 20, BATCH_MIN, random.Random(70))
+        assert "planes" not in vars(S)
+        T = sample_uniform_linear(20, 5, random.Random(71))
+        largest_bin(T, S)
+        planes = vars(S)["planes"]
+        assert len(planes) == S.size and len(planes.planes) == 3
+        largest_bin(T, S)
+        assert S.planes is planes
+
+    def test_small_sets_skip_planes(self):
+        S = generate_set("random", 20, BATCH_MIN - 1, random.Random(72))
+        largest_bin(sample_uniform_linear(20, 5, random.Random(73)), S)
+        assert "planes" not in vars(S)
 
 
 class TestEventE1:

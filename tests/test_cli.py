@@ -1,12 +1,14 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from linbins import ballsbins
-from linbins.cli import CSV_HEADER, main
+from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main
+from linbins.gf2 import BytePlanes
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +32,11 @@ def manifest_of(text):
 SIM_ARGS = [
     "simulate", "--u", "2", "--b", "1", "--set", "interval", "--set-size", "4",
     "--trials", "50", "--thresholds", "2,4", "--seed", "7",
+]
+
+BATCH_ARGS = [
+    "simulate", "--u", "12", "--b", "6", "--set", "random", "--set-size", "300",
+    "--thresholds", "8", "--seed", "5",
 ]
 
 
@@ -64,6 +71,60 @@ class TestSimulate:
         _, a = run_to_file(tmp_path, "a.csv", SIM_ARGS + ["--jobs", "1"])
         _, b = run_to_file(tmp_path, "b.csv", SIM_ARGS + ["--jobs", "4"])
         assert data_rows(a) == data_rows(b)
+
+    def test_jobs_do_not_change_rows_on_batch_path(self, tmp_path, monkeypatch):
+        # 300 balls reach the byte-plane kernel; two CPUs make the pool run
+        monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 2)
+        argv = BATCH_ARGS + ["--trials", "12"]
+        _, a = run_to_file(tmp_path, "a.csv", argv + ["--jobs", "1"])
+        _, b = run_to_file(tmp_path, "b.csv", argv + ["--jobs", "2"])
+        assert len(data_rows(a)) > 12
+        assert data_rows(a) == data_rows(b)
+
+    @pytest.mark.parametrize("cpus,workers", [(64, 10), (3, 3), (1, None), (None, None)])
+    def test_pool_capped_by_cpus_and_trials(self, cpus, workers, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            """Records the pool size and runs the chunks here; starts no process."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.tasks = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                self.tasks = list(tasks)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(ballsbins, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: cpus)
+        argv = BATCH_ARGS + ["--trials", "10"]
+        _, serial = run_to_file(tmp_path, "serial.csv", argv)
+        assert pools == []
+        code, text = run_to_file(tmp_path, "pool.csv", argv + ["--jobs", "5000"])
+        assert code == 0
+        assert data_rows(text) == data_rows(serial)
+        if workers is None:
+            assert pools == []
+            return
+        (pool,) = pools
+        assert pool.max_workers == workers
+        spans = [(t[4], t[5]) for t in pool.tasks]
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == 10
+        assert all(isinstance(t[3], BytePlanes) for t in pool.tasks)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
+        code, _ = run_to_file(tmp_path, "sim.csv", SIM_ARGS + ["--jobs", jobs])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_seed_changes_rows(self, tmp_path):
         _, a = run_to_file(tmp_path, "a.csv", SIM_ARGS)
@@ -173,6 +234,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("PASS factorization-count")
+
+    @pytest.mark.parametrize("argv,names", [
+        (["--samples", "4000", "--instances", "200"], VERIFY_CHECKS),
+        (["--check", "pairwise-independence"], ("pairwise-independence",)),
+    ])
+    def test_timing_per_check_on_stderr(self, argv, names, capsys):
+        assert main(["verify"] + argv) == 0
+        captured = capsys.readouterr()
+        timed = re.findall(r"^time (\S+): (\d+\.\d{3}) s$", captured.err, re.M)
+        assert [name for name, _ in timed] == list(names)
+        assert len(captured.err.splitlines()) == len(names)
+        assert "time" not in captured.out
 
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "nope"]) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linbins.gf2 import (
+    BytePlanes,
     GF2Vector,
     LinearMap,
     SizeGuardError,
@@ -161,19 +162,39 @@ class TestBatchApply:
         for u, b in [(3, 2), (8, 4), (9, 5), (16, 7), (21, 3)]:
             T = sample_uniform_linear(u, b, rng)
             xs = [rng.getrandbits(u) for _ in range(200)]
-            assert batch_apply_bits(T, xs) == [T.apply_bits(x) for x in xs]
+            assert batch_apply_bits(T, BytePlanes.from_bits(xs, u)) == [T.apply_bits(x) for x in xs]
 
     def test_matches_exhaustively_small(self):
         rng = random.Random(12)
         for u in range(1, 9):
             T = sample_uniform_linear(u, 4, rng)
             xs = list(range(1 << u))
-            assert batch_apply_bits(T, xs) == [T.apply_bits(x) for x in xs]
+            assert batch_apply_bits(T, BytePlanes.from_bits(xs, u)) == [T.apply_bits(x) for x in xs]
 
     def test_affine_batch(self):
         T = sample_uniform_affine(10, 6, random.Random(13))
         xs = list(range(0, 1 << 10, 7))
-        assert batch_apply_bits(T, xs) == [T.apply_bits(x) for x in xs]
+        assert batch_apply_bits(T, BytePlanes.from_bits(xs, 10)) == [T.apply_bits(x) for x in xs]
+
+    @pytest.mark.parametrize("u", range(1, 65))
+    def test_planes_match_apply_bits_every_width(self, u):
+        rng = random.Random(1000 + u)
+        xs = [0, (1 << u) - 1] + [rng.getrandbits(u) for _ in range(298)]
+        planes = BytePlanes.from_bits(xs, u)
+        assert len(planes) == len(xs)
+        assert len(planes.planes) == -(-u // 8)
+        for sample in (sample_uniform_linear, sample_uniform_affine):
+            T = sample(u, rng.randint(1, 20), rng)
+            assert batch_apply_bits(T, planes) == [T.apply_bits(x) for x in xs]
+
+    def test_planes_hold_bytes(self):
+        planes = BytePlanes.from_bits([0x0102, 0xFF, 0x10000], 17)
+        assert planes.planes == (bytes([2, 0xFF, 0]), bytes([1, 0, 0]), bytes([0, 0, 1]))
+
+    def test_width_mismatch_rejected(self):
+        T = sample_uniform_linear(9, 3, random.Random(14))
+        with pytest.raises(ValueError):
+            batch_apply_bits(T, BytePlanes.from_bits([1, 2, 3], 8))
 
 
 # ---------------------------------------------------------------------------

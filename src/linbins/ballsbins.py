@@ -199,7 +199,7 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
     seen = set(exclude)
     # Dense requests in a small universe would make rejection crawl.
     if universe_dim <= 22 and 2 * (size + len(exclude)) >= space:
-        pool = [x for x in range(space) if x not in seen]
+        pool = [x for x in range(space) if x not in seen] if exclude else range(space)
         return rng.sample(pool, size)
     while len(out) < size:
         c = rng.getrandbits(universe_dim)
@@ -541,7 +541,6 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    config: ExperimentConfig
     set_descriptor: str
     set_size: int
     lbin_values: tuple[int, ...]
@@ -550,8 +549,6 @@ class TrialSummary:
     max_value: int
     quantiles: dict[str, int]
     tails: tuple[TailEstimate, ...]
-    rng_algorithm: str = RNG_ALGORITHM
-    seed_scheme: str = SEED_SCHEME
 
 
 def build_ball_set(config: ExperimentConfig) -> BallSet:
@@ -616,7 +613,6 @@ def summarize_trials(config: ExperimentConfig, S: BallSet,
             TailEstimate(ell, hits, len(values), hits / len(values), lo, hi)
         )
     return TrialSummary(
-        config=config,
         set_descriptor=S.descriptor,
         set_size=S.size,
         lbin_values=tuple(values),

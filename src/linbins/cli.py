@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -86,80 +85,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    flags: dict
-    master_seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-    seed_scheme: str = SEED_SCHEME
-    artifact_version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "flags": self.flags,
-            "master_seed": self.master_seed,
-            "rng_algorithm": self.rng_algorithm,
-            "seed_scheme": self.seed_scheme,
-            "artifact_version": self.artifact_version,
-            "timestamp": self.timestamp,
-        }
-
-
-def _manifest_for(args: argparse.Namespace) -> RunManifest:
-    flags = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "subcommand") and not callable(v)
+def _manifest(args: argparse.Namespace) -> dict:
+    """Everything a run's rows are a function of, plus when it ran."""
+    return {
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items()
+                  if k not in ("func", "config", "subcommand")},
+        "master_seed": args.seed,
+        "rng_algorithm": RNG_ALGORITHM,
+        "seed_scheme": SEED_SCHEME,
+        "artifact_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    if isinstance(flags.get("thresholds"), tuple):
-        flags["thresholds"] = list(flags["thresholds"])
-    return RunManifest(
-        subcommand=args.subcommand, flags=flags, master_seed=args.seed
-    )
 
 
-def _emit(manifest: RunManifest, rows: list[dict], columns: list[str],
-          fmt: str, out: str | None, summary: dict | None = None) -> None:
-    if fmt == "csv":
-        lines = ["# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(str(row.get(col, "")) for col in columns))
+def _emit(args: argparse.Namespace, rows: list[dict], columns: list[str],
+          summary: dict) -> None:
+    manifest = _manifest(args)
+    if args.format == "csv":
+        lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(columns)]
+        lines += [",".join(str(row.get(col, "")) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"manifest": manifest.as_dict(), "rows": rows}
-        if summary is not None:
-            doc["summary"] = summary
+        doc = {"manifest": manifest, "rows": rows, "summary": summary}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, convert, noun: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(",") if part != "")
+        values = tuple(convert(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise UsageError(f"expected comma-separated {noun}s, got {text!r}") from exc
     if not values:
-        raise UsageError(f"empty integer list {text!r}")
+        raise UsageError(f"empty {noun} list {text!r}")
     return values
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return _parse_list(text, int, "integer")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise UsageError(f"empty number list {text!r}")
-    return values
+    return _parse_list(text, float, "number")
 
 
 def _positive_int(text: str) -> int:
@@ -199,6 +170,17 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _row_base(config: ExperimentConfig, set_size: int) -> dict:
+    """The cells every simulate and exact row carries."""
+    return {
+        "u": config.universe_dim,
+        "b": config.bin_dim,
+        "set_kind": config.set_kind,
+        "set_size": set_size,
+        "seed": config.master_seed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -207,13 +189,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     summary = estimate_tail(config, jobs=args.jobs)
-    base = {
-        "u": config.universe_dim,
-        "b": config.bin_dim,
-        "set_kind": config.set_kind,
-        "set_size": summary.set_size,
-        "seed": config.master_seed,
-    }
+    base = _row_base(config, summary.set_size)
     rows = [
         dict(base, experiment="simulate", trial=i, lbin=v)
         for i, v in enumerate(summary.lbin_values)
@@ -253,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for t in summary.tails
         ],
     }
-    _emit(_manifest_for(args), rows, _CSV_COLUMNS, args.format, args.out, json_summary)
+    _emit(args, rows, _CSV_COLUMNS, json_summary)
     return 0
 
 
@@ -267,13 +243,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     S = build_ball_set(config)
     dist = exact_lbin_distribution(config.universe_dim, config.bin_dim, S)
     expected = distribution_mean(dist)
-    base = {
-        "u": config.universe_dim,
-        "b": config.bin_dim,
-        "set_kind": config.set_kind,
-        "set_size": S.size,
-        "seed": config.master_seed,
-    }
+    base = _row_base(config, S.size)
     rows = [dict(base, experiment="exact-mean", lbin=str(expected))]
     tails = {}
     for ell in config.thresholds:
@@ -285,7 +255,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "expected_lbin": str(expected),
         "tails": {str(k): v for k, v in tails.items()},
     }
-    _emit(_manifest_for(args), rows, _CSV_COLUMNS, args.format, args.out, json_summary)
+    _emit(args, rows, _CSV_COLUMNS, json_summary)
     return 0
 
 
@@ -354,8 +324,7 @@ def _bound_rows(args: argparse.Namespace) -> list[dict]:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     rows = _bound_rows(args)
-    _emit(_manifest_for(args), rows, _BOUNDS_COLUMNS, args.format, args.out,
-          {"rows": len(rows)})
+    _emit(args, rows, _BOUNDS_COLUMNS, {"rows": len(rows)})
     return 0
 
 
@@ -455,44 +424,37 @@ def _verify_subspace_dims(rng):
     return u, rng.randint(0, min(u, 3)), rng.randint(1, 2)
 
 
-VERIFY_CHECKS = (
-    "composition-uniformity",
-    "factorization-count",
-    "e2-equivalence",
-    "e1-e2-implication",
-    "pairwise-independence",
-    "subspace-structure",
-)
+def _verify_rng(args, label):
+    # labels are part of the seed scheme: renaming one changes verify's output
+    return substream(args.seed, "verify", label)
+
+
+# check name -> runner(args) returning (ok, detail), in the order verify runs them
+VERIFY_CHECKS = {
+    "composition-uniformity": lambda args: _check_composition_uniformity(
+        _verify_rng(args, "composition"), args.samples, args.inject_fault
+    ),
+    "factorization-count": lambda args: _check_factorization_count(
+        ((3, 2, 1), (2, 2, 1))
+    ),
+    "e2-equivalence": lambda args: _check_e2_equivalence(
+        _verify_rng(args, "e2-equivalence"), args.instances, _verify_e2_dims(1)
+    ),
+    "e1-e2-implication": lambda args: _check_implication(
+        _verify_rng(args, "implication"), args.instances, _verify_e2_dims(2)
+    ),
+    "pairwise-independence": lambda args: _check_pairwise(),
+    "subspace-structure": lambda args: _check_subspace_structure(
+        _verify_rng(args, "subspace"), args.instances, _verify_subspace_dims
+    ),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selected = (args.check,) if args.check else VERIFY_CHECKS
-
-    def rng(label):
-        return substream(args.seed, "verify", label)
-
-    runners = {
-        "composition-uniformity": lambda: _check_composition_uniformity(
-            rng("composition"), args.samples, args.inject_fault
-        ),
-        "factorization-count": lambda: _check_factorization_count(
-            ((3, 2, 1), (2, 2, 1))
-        ),
-        "e2-equivalence": lambda: _check_e2_equivalence(
-            rng("e2-equivalence"), args.instances, _verify_e2_dims(1)
-        ),
-        "e1-e2-implication": lambda: _check_implication(
-            rng("implication"), args.instances, _verify_e2_dims(2)
-        ),
-        "pairwise-independence": _check_pairwise,
-        "subspace-structure": lambda: _check_subspace_structure(
-            rng("subspace"), args.instances, _verify_subspace_dims
-        ),
-    }
     all_ok = True
-    for name in selected:
+    for name in [args.check] if args.check else VERIFY_CHECKS:
         start = time.perf_counter()
-        ok, detail = runners[name]()
+        ok, detail = VERIFY_CHECKS[name](args)
         elapsed = time.perf_counter() - start
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -555,8 +517,7 @@ def cmd_table_bench(args: argparse.Namespace) -> int:
                 "mean_probes_miss": stats.mean_probes_miss,
             }
         )
-    _emit(_manifest_for(args), rows, _CSV_COLUMNS, args.format, args.out,
-          {"workloads": summaries})
+    _emit(args, rows, _CSV_COLUMNS, {"workloads": summaries})
     return 0
 
 
@@ -628,9 +589,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="exhaustive small-dimension self checks")
     sp.add_argument("--check", choices=VERIFY_CHECKS, default=None,
                     help="run one check")
-    sp.add_argument("--samples", type=int, default=20_000,
+    sp.add_argument("--samples", type=_positive_int, default=20_000,
                     help="draws for the composition uniformity chi-square")
-    sp.add_argument("--instances", type=int, default=1_000,
+    sp.add_argument("--instances", type=_positive_int, default=1_000,
                     help="random instances for equivalence style checks")
     sp.add_argument("--inject-fault", action="store_true",
                     help="negative control: corrupt the composition check")

@@ -158,6 +158,17 @@ class TestGenerateSet:
         S = generate_set("random", 3, 8, random.Random(1))
         assert sorted(S.member_bits) == list(range(8))
 
+    @pytest.mark.parametrize("u", range(1, 13))
+    def test_dense_draw_matches_listed_pool(self, u):
+        # the dense path samples from range(space); it must draw what sampling
+        # the listed universe drew, and leave the rng in the same state
+        space = 1 << u
+        for size in range(-(-space // 2), space + 1):
+            rng, ref = random.Random(size), random.Random(size)
+            assert ballsbins._sample_distinct(u, size, rng) == ref.sample(
+                [x for x in range(space)], size)
+            assert rng.getstate() == ref.getstate()
+
     def test_subspace_is_a_span(self):
         S = generate_set("subspace", 6, 3, random.Random(2))
         assert S.size == 8

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from linbins import ballsbins
-from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main
+from linbins import __version__, ballsbins
+from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
+from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
 from linbins.gf2 import BytePlanes
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -38,6 +39,49 @@ BATCH_ARGS = [
     "simulate", "--u", "12", "--b", "6", "--set", "random", "--set-size", "300",
     "--thresholds", "8", "--seed", "5",
 ]
+
+
+MANIFEST_KEYS = {
+    "subcommand", "flags", "master_seed", "rng_algorithm", "seed_scheme",
+    "artifact_version", "timestamp",
+}
+
+EMITTING_RUNS = {
+    "simulate": SIM_ARGS,
+    "exact": ["exact", "--u", "2", "--b", "1", "--set", "interval",
+              "--set-size", "4", "--thresholds", "2,4"],
+    "bounds": ["bounds", "--formula", "tail", "--b", "4,8", "--r", "16"],
+    "table-bench": ["table-bench", "--u", "10", "--b", "3", "--n", "0,8"],
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sub", sorted(EMITTING_RUNS))
+    def test_manifest_records_the_parsed_run(self, sub, fmt, tmp_path):
+        out = tmp_path / f"run.{fmt}"
+        argv = EMITTING_RUNS[sub] + ["--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        if fmt == "json":
+            doc = json.loads(text)
+            assert set(doc) == {"manifest", "rows", "summary"}
+            m = doc["manifest"]
+        else:
+            m = manifest_of(text)
+        assert set(m) == MANIFEST_KEYS
+        assert m["subcommand"] == sub
+        assert m["rng_algorithm"] == RNG_ALGORITHM
+        assert m["seed_scheme"] == SEED_SCHEME
+        assert m["artifact_version"] == __version__
+        parsed = vars(parse_args(argv))
+        assert m["master_seed"] == parsed["seed"]
+        # every parsed flag is recorded, tuple-valued ones as JSON arrays
+        assert m["flags"] == {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in parsed.items()
+            if k not in ("func", "config", "subcommand")
+        }
 
 
 class TestSimulate:
@@ -246,6 +290,14 @@ class TestVerify:
         assert [name for name, _ in timed] == list(names)
         assert len(captured.err.splitlines()) == len(names)
         assert "time" not in captured.out
+
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    @pytest.mark.parametrize("flag", ["--samples", "--instances"])
+    def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
+        assert main(["verify", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
 
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "nope"]) == 1

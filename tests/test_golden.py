@@ -3,7 +3,9 @@
 Each fixture under tests/golden/ holds the CSV data rows (the `# manifest:`
 line, the only line allowed to vary, stripped) of one small run.  The
 simulate runs cover the scalar apply path (fewer than 256 balls) and the
-batch path at in_dim 8, 12 and 24, that is one, two and three byte chunks.
+batch path at in_dim 8, 12 and 24, that is one, two and three byte chunks,
+plus linear sets (subspace, affine, a power-of-two interval) of both sizes.
+The exact runs cover enumerated (interval, random) and linear sets.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
 deliberate, documented change of rows.
@@ -34,10 +36,18 @@ GOLDEN = {
                                  "--set", "subspace", "--set-dim", "4"],
     "simulate-cluster": _SIM + ["20", "--u", "12", "--b", "4",
                                 "--set", "cluster", "--set-size", "300"],
+    "simulate-interval-pow2": _SIM + ["20", "--u", "12", "--b", "6",
+                                      "--set", "interval", "--set-size", "1024"],
+    "simulate-affine-batch": _SIM + ["20", "--u", "16", "--b", "6",
+                                     "--set", "affine", "--set-dim", "9"],
     "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
                        "--set-size", "5", "--thresholds", "2,3"],
     "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",
                      "--set-size", "6", "--thresholds", "1,2,3", "--seed", "2"],
+    "exact-subspace": ["exact", "--u", "5", "--b", "4", "--set", "subspace",
+                       "--set-dim", "3", "--thresholds", "2,4"],
+    "exact-affine": ["exact", "--u", "6", "--b", "3", "--set", "affine",
+                     "--set-dim", "2", "--thresholds", "2,4"],
     "bounds-all": ["bounds", "--b", "4,8", "--r", "16,256", "--eps", "0.25,0.5",
                    "--f", "9,11"],
     "table-bench-random": ["table-bench", "--u", "16", "--b", "3", "--keys", "random",

@@ -3,7 +3,8 @@
 Ball sets live in a u-bit universe; a map hashes them into 2^b bins.  This
 module measures largest-bin sizes, checks the structural events behind the
 max-load tail analysis, runs seeded Monte Carlo estimation with confidence
-intervals, and provides exact small-dimension oracles.
+intervals, and provides exact oracles: closed-form on subspace and affine
+sets, enumerated over every map (small dimensions only) on the others.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
+    SubspaceBasis,
     _apply_rows,
     _check_guard,
     _rank_of_bits,
@@ -317,6 +319,42 @@ def _largest_load(images: Sequence[int], bin_dim: int) -> int:
     return max(counts)
 
 
+def _linear_basis(S: BallSet) -> SubspaceBasis | None:
+    """A basis of span(S - s) when S is a subspace, an affine coset or the
+    interval [0, 2^k); None for any other set.
+
+    The interval's basis is the unit vectors e_0..e_{k-1}; it is not stored
+    on the set, whose descriptor would then print a dimension.
+    """
+    if S.kind in ("subspace", "affine") and S.basis_bits is not None:
+        return SubspaceBasis(S.universe_dim, S.basis_bits)
+    n = S.size
+    # distinct non-negative members with maximum n - 1 are exactly 0..n-1
+    if S.kind == "interval" and not n & (n - 1) and max(S.member_bits) == n - 1:
+        return SubspaceBasis(S.universe_dim, tuple(1 << i for i in range(n.bit_length() - 1)))
+    return None
+
+
+def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | tuple[int, ...]:
+    """What a largest-bin measurement over S reads: its basis when it has one,
+    else what an apply pass reads."""
+    basis = _linear_basis(S)
+    return _balls(S) if basis is None else basis
+
+
+def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[int]) -> int:
+    """Largest bin of T over balls, as given by `_lbin_balls`.
+
+    On a linear set with basis B of dimension d every nonempty bin is a coset
+    of span(B) meet Ker(T), so the largest bin is 2^(d - rank(T B)).  Only
+    T's linear part enters: a translation permutes the bins.
+    """
+    if isinstance(balls, SubspaceBasis):
+        rows, basis = T.row_bits, balls.basis_bits
+        return 1 << (len(basis) - _rank_of_bits([_apply_rows(rows, v) for v in basis]))
+    return _largest_load(_images(T, balls), T.out_dim)
+
+
 def _check_map_vs_set(T: LinearMap, S: BallSet) -> None:
     if T.in_dim != S.universe_dim:
         raise ValueError(f"map takes {T.in_dim} bits, balls have {S.universe_dim}")
@@ -335,7 +373,7 @@ def bin_counts(T: LinearMap, S: BallSet) -> BinHistogram:
 def largest_bin(T: LinearMap, S: BallSet) -> int:
     """Size of the fullest bin; between ceil(|S|/2^b) and |S|."""
     _check_map_vs_set(T, S)
-    return _largest_load(_images(T, _balls(S)), T.out_dim)
+    return _largest_bin_of(T, _lbin_balls(S))
 
 
 def event_e1(S: BallSet, T: LinearMap, ell: int) -> bool:
@@ -568,7 +606,7 @@ def _trial_chunk(args: tuple) -> list[int]:
     for i in range(start, stop):
         rng = substream(master_seed, "trial", i)
         T = sample_uniform_linear(universe_dim, bin_dim, rng)
-        out.append(_largest_load(_images(T, balls), bin_dim))
+        out.append(_largest_bin_of(T, balls))
     return out
 
 
@@ -587,7 +625,7 @@ def estimate_tail(config: ExperimentConfig, jobs: int = 1) -> TrialSummary:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     S = build_ball_set(config)
-    base = (config.master_seed, config.universe_dim, config.bin_dim, _balls(S))
+    base = (config.master_seed, config.universe_dim, config.bin_dim, _lbin_balls(S))
     workers = min(jobs, os.cpu_count() or 1, config.trials)
     if workers == 1:
         values = _trial_chunk(base + (0, config.trials))
@@ -635,11 +673,39 @@ def summarize_trials(config: ExperimentConfig, S: BallSet,
 # ---------------------------------------------------------------------------
 
 
+def _rank_count(rows: int, cols: int, rank: int) -> int:
+    """Number of rows x cols matrices over GF(2) of the given rank (Landsberg 1893):
+    prod_{i<rank} (2^rows - 2^i)(2^cols - 2^i) / (2^rank - 2^i)."""
+    num = den = 1
+    for i in range(rank):
+        num *= ((1 << rows) - (1 << i)) * ((1 << cols) - (1 << i))
+        den *= (1 << rank) - (1 << i)
+    # the partial quotients are not integers, so divide once
+    return num // den
+
+
 def exact_lbin_distribution(universe_dim: int, bin_dim: int,
                             S: BallSet) -> dict[int, int]:
-    """Largest-bin value -> number of linear maps attaining it, over all maps."""
+    """Largest-bin value -> number of linear maps attaining it, over all maps.
+
+    Subspace and affine sets use the closed form: with B a basis of dimension
+    d, T -> T B is onto the bin_dim x d matrices with 2^(bin_dim (u - d))
+    maps behind each one, and the largest bin is 2^(d - rank(T B)).  Other
+    sets enumerate every map, under the size guard.
+    """
     if S.universe_dim != universe_dim:
         raise ValueError("ball set universe does not match")
+    if S.kind in ("subspace", "affine") and S.basis_bits is not None:
+        d = len(S.basis_bits)
+        behind = 1 << (bin_dim * (universe_dim - d))
+        return {1 << (d - k): _rank_count(bin_dim, d, k) * behind
+                for k in range(min(bin_dim, d) + 1)}
+    return _enumerated_lbin_distribution(universe_dim, bin_dim, S)
+
+
+def _enumerated_lbin_distribution(universe_dim: int, bin_dim: int,
+                                  S: BallSet) -> dict[int, int]:
+    """exact_lbin_distribution by applying every linear map to every ball."""
     _check_guard(universe_dim * bin_dim, "map enumeration")
     dist: Counter[int] = Counter()
     for rows in all_matrices(universe_dim, bin_dim):

@@ -351,6 +351,50 @@ class TestBatchPath:
         assert "planes" not in vars(S)
 
 
+class TestRankRoute:
+    """Largest bin by rank on linear sets against bin counting over all images."""
+
+    @staticmethod
+    def linear_set(kind, u, d, rng):
+        return generate_set(kind, u, 1 << d if kind == "interval" else d, rng)
+
+    @pytest.mark.parametrize("kind", ["subspace", "affine", "interval"])
+    def test_rank_matches_counting(self, kind):
+        rng = random.Random(80 + len(kind))
+        for u in (1, 3, 6, 9):
+            for d in range(u + 1):
+                S = self.linear_set(kind, u, d, rng)
+                assert ballsbins._linear_basis(S).dim == d
+                # b = d - 1 < d, b = d + 1 > d, and both extremes
+                for b in sorted({1, max(1, d - 1), d + 1, u + 2}):
+                    L = sample_uniform_linear(u, b, rng)
+                    shifted = LinearMap(u, b, L.row_bits, rng.randrange(1, 1 << b))
+                    for T in (L, shifted):
+                        assert largest_bin(T, S) == bin_counts(T, S).max_count
+
+    @pytest.mark.parametrize("kind,arg", [("subspace", 5), ("affine", 3), ("interval", 512)])
+    def test_trials_match_counting(self, kind, arg):
+        S = generate_set(kind, 12, arg, random.Random(90))
+        basis = ballsbins._linear_basis(S)
+        by_rank = ballsbins._trial_chunk((5, 12, 6, basis, 0, 60))
+        by_count = ballsbins._trial_chunk((5, 12, 6, S.member_bits, 0, 60))
+        assert by_rank == by_count
+
+    def test_basis_only_for_linear_sets(self):
+        rng = random.Random(95)
+        S = generate_set("interval", 5, 8)
+        assert ballsbins._linear_basis(S).basis_bits == (1, 2, 4)
+        assert S.basis_bits is None and "dim=" not in S.descriptor
+        for S in (
+            generate_set("interval", 5, 12),
+            generate_set("random", 5, 8, rng),
+            generate_set("cluster", 5, 8, rng),
+            BallSet(5, (1, 2, 3, 4), "interval"),   # labelled interval, not [0, 4)
+            BallSet(5, (0, 1, 2, 3), "subspace"),   # no stored basis
+        ):
+            assert ballsbins._linear_basis(S) is None
+
+
 class TestEventE1:
     def test_threshold_one_always(self):
         S = full_universe(2)
@@ -689,6 +733,28 @@ class TestExactOracles:
         S = full_universe(5)
         with pytest.raises(SizeGuardError):
             exact_lbin_distribution(5, 5, S)
+
+    def test_closed_form_matches_enumeration(self):
+        # every u b <= 10 and d = 0..u, on both kinds with a closed form
+        rng = random.Random(100)
+        cases = 0
+        for u in range(1, 11):
+            for b in range(1, 10 // u + 1):
+                for d in range(u + 1):
+                    for kind in ("subspace", "affine"):
+                        S = generate_set(kind, u, d, rng)
+                        want = ballsbins._enumerated_lbin_distribution(u, b, S)
+                        assert exact_lbin_distribution(u, b, S) == want
+                        cases += 1
+        assert cases == 228
+
+    def test_closed_form_beyond_guard(self):
+        S = generate_set("subspace", 32, 4, random.Random(101))
+        dist = exact_lbin_distribution(32, 16, S)
+        assert sum(dist.values()) == 1 << (32 * 16)
+        assert sorted(dist) == [1, 2, 4, 8, 16]
+        # T B is the zero matrix for 2^(16 (32 - 4)) maps
+        assert dist[16] == 1 << (16 * 28)
 
 
 # ---------------------------------------------------------------------------

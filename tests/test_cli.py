@@ -9,7 +9,7 @@ import pytest
 from linbins import __version__, ballsbins
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
-from linbins.gf2 import BytePlanes
+from linbins.gf2 import BytePlanes, SubspaceBasis
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -164,6 +164,38 @@ class TestSimulate:
         assert spans[-1][1] == 10
         assert all(isinstance(t[3], BytePlanes) for t in pool.tasks)
 
+    def test_pool_on_linear_set_carries_basis(self, tmp_path, monkeypatch):
+        tasks = []
+
+        class InProcessPool:
+            """Records the tasks and runs them here; starts no process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunk_tasks):
+                tasks.extend(chunk_tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ballsbins, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 4)
+        argv = ["simulate", "--u", "12", "--b", "4", "--set", "subspace", "--set-dim", "5",
+                "--thresholds", "4,8", "--seed", "5", "--trials", "20"]
+        _, serial = run_to_file(tmp_path, "serial.csv", argv)
+        assert tasks == []
+        code, pooled = run_to_file(tmp_path, "pool.csv", argv + ["--jobs", "4"])
+        assert code == 0
+        assert len(data_rows(serial)) > 20
+        assert data_rows(pooled) == data_rows(serial)
+        assert len(tasks) > 1
+        assert all(isinstance(t[3], SubspaceBasis) and t[3].dim == 5 for t in tasks)
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, "sim.csv", SIM_ARGS + ["--jobs", jobs])
@@ -228,6 +260,16 @@ class TestExact:
         assert main([
             "exact", "--u", "6", "--b", "6", "--set", "interval", "--set-size", "4",
         ]) == 2
+
+    def test_linear_set_skips_size_guard(self, tmp_path):
+        # subspace and affine sets take the closed form, so u*b may pass the guard
+        code, text = run_to_file(tmp_path, "exact.csv", [
+            "exact", "--u", "32", "--b", "16", "--set", "subspace", "--set-dim", "4",
+            "--thresholds", "2,16",
+        ])
+        assert code == 0
+        tails = {r.split(",")[9] for r in data_rows(text) if r.startswith("exact-tail,")}
+        assert tails == {"2", "16"}
 
 
 class TestBounds:

@@ -13,11 +13,14 @@ import hashlib
 import math
 import os
 import random
+import sys
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, repeat
 from typing import Callable, Mapping, Sequence
 
 from .gf2 import (
@@ -197,12 +200,32 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
     if size + len(exclude) > space:
         raise ValueError(f"cannot pick {size} distinct vectors beyond {len(exclude)} "
                          f"excluded in a space of {space}")
-    out: list[int] = []
-    seen = set(exclude)
     # Dense requests in a small universe would make rejection crawl.
     if universe_dim <= 22 and 2 * (size + len(exclude)) >= space:
-        pool = [x for x in range(space) if x not in seen] if exclude else range(space)
+        pool = [x for x in range(space) if x not in exclude] if exclude else range(space)
         return rng.sample(pool, size)
+    if universe_dim <= 32:
+        # Here getrandbits(u) is one 32-bit word shifted right by 32 - u, and
+        # getrandbits(32 k) is the next k words, least significant first.  So
+        # one call per batch, sized to the shortfall, consumes the words the
+        # one-at-a-time loop below would, and keeps the same members in the
+        # same first-seen order and the same rng state.  The shift happens on
+        # the whole draw, and a mask of u low bits per 32-bit lane drops what
+        # the next word shifted in.
+        lane = ((1 << universe_dim) - 1).to_bytes(4, "little")
+        chosen = dict.fromkeys(exclude)
+        wanted = size + len(exclude)
+        while len(chosen) < wanted:
+            k = wanted - len(chosen)
+            draw = rng.getrandbits(32 * k) >> (32 - universe_dim)
+            draw &= int.from_bytes(lane * k, "little")
+            words = array("I", draw.to_bytes(4 * k, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            chosen.update(zip(words, repeat(None)))  # no second dict at the peak
+        return list(islice(chosen, len(exclude), None))
+    out: list[int] = []
+    seen = set(exclude)
     while len(out) < size:
         c = rng.getrandbits(universe_dim)
         if c not in seen:

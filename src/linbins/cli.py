@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from collections import Counter
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -238,21 +240,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 0, counted from its bit length without str()."""
+    d = int(n.bit_length() * math.log10(2))  # within one of the count
+    while n >= 10 ** d:
+        d += 1
+    while d > 1 and n < 10 ** (d - 1):
+        d -= 1
+    return d
+
+
+def _rational_str(value: Fraction, row: str) -> str:
+    """str(value), refused with a size guard when Python would not print it.
+
+    Python refuses to convert an int of more than sys.get_int_max_str_digits()
+    decimal digits (0 means no limit) to a string, and the closed-form
+    rationals of a large linear set can have more.
+    """
+    # Python before 3.10.7 has neither the limit nor this function.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for name, part in (("numerator", value.numerator), ("denominator", value.denominator)):
+        digits = _decimal_digits(part)
+        if limit and digits > limit:
+            raise SizeGuardError(
+                f"{row}: the {name} has {digits} decimal digits, over Python's "
+                f"int-to-str limit of {limit}"
+            )
+    return str(value)
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     S = build_ball_set(config)
     dist = exact_lbin_distribution(config.universe_dim, config.bin_dim, S)
-    expected = distribution_mean(dist)
+    expected = _rational_str(distribution_mean(dist), "exact-mean")
     base = _row_base(config, S.size)
-    rows = [dict(base, experiment="exact-mean", lbin=str(expected))]
+    rows = [dict(base, experiment="exact-mean", lbin=expected)]
     tails = {}
     for ell in config.thresholds:
-        p = distribution_tail(dist, ell)
-        tails[ell] = str(p)
-        rows.append(dict(base, experiment="exact-tail", threshold=ell, freq=str(p)))
+        p = _rational_str(distribution_tail(dist, ell), f"exact-tail at threshold {ell}")
+        tails[ell] = p
+        rows.append(dict(base, experiment="exact-tail", threshold=ell, freq=p))
     json_summary = {
         "set": S.descriptor,
-        "expected_lbin": str(expected),
+        "expected_lbin": expected,
         "tails": {str(k): v for k, v in tails.items()},
     }
     _emit(args, rows, _CSV_COLUMNS, json_summary)

@@ -169,6 +169,33 @@ class TestGenerateSet:
                 [x for x in range(space)], size)
             assert rng.getstate() == ref.getstate()
 
+    @staticmethod
+    def sequential_draw(u, size, rng, exclude=frozenset()):
+        """_sample_distinct drawing one candidate per getrandbits call."""
+        space = 1 << u
+        out, seen = [], set(exclude)
+        if u <= 22 and 2 * (size + len(exclude)) >= space:
+            pool = [x for x in range(space) if x not in seen] if exclude else range(space)
+            return rng.sample(pool, size)
+        while len(out) < size:
+            c = rng.getrandbits(u)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+        return out
+
+    @pytest.mark.parametrize("u", (1, 2, 5, 8, 17, 24, 31, 32))
+    def test_batched_draw_matches_sequential(self, u):
+        space = 1 << u
+        for size in (1, 2, 3, 7, 40, 700):
+            for exclude in (frozenset(), frozenset(range(1, min(space, 9), 2))):
+                if size + len(exclude) > space:
+                    continue
+                rng, ref = random.Random(u * 1000 + size), random.Random(u * 1000 + size)
+                assert ballsbins._sample_distinct(u, size, rng, exclude) == \
+                    self.sequential_draw(u, size, ref, exclude)
+                assert rng.getstate() == ref.getstate()
+
     def test_subspace_is_a_span(self):
         S = generate_set("subspace", 6, 3, random.Random(2))
         assert S.size == 8

@@ -261,6 +261,19 @@ class TestExact:
             "exact", "--u", "6", "--b", "6", "--set", "interval", "--set-size", "4",
         ]) == 2
 
+    def test_unprintable_rational_is_size_guard(self, tmp_path, capsys):
+        # P[lbin >= 2] has denominator 2^(b d) = 2^16000, over Python's
+        # 4,300-digit int-to-str limit; the run refuses before writing a row
+        out = tmp_path / "exact.csv"
+        assert main([
+            "exact", "--u", "1000", "--b", "1000", "--set", "subspace", "--set-dim", "16",
+            "--thresholds", "2", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "exact-tail at threshold 2" in err and "decimal digits" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_linear_set_skips_size_guard(self, tmp_path):
         # subspace and affine sets take the closed form, so u*b may pass the guard
         code, text = run_to_file(tmp_path, "exact.csv", [

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linbins.ballsbins import BATCH_MIN
 from linbins.gf2 import (
     BytePlanes,
     GF2Vector,
@@ -186,6 +187,29 @@ class TestBatchApply:
         for sample in (sample_uniform_linear, sample_uniform_affine):
             T = sample(u, rng.randint(1, 20), rng)
             assert batch_apply_bits(T, planes) == [T.apply_bits(x) for x in xs]
+
+    # widths on both sides of every byte and 64-bit word boundary
+    KERNEL_WIDTHS = (1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 130)
+
+    @pytest.mark.parametrize("u", KERNEL_WIDTHS)
+    def test_kernel_matches_apply_bits_width_grid(self, u):
+        rng = random.Random(2000 + u)
+        for n in (1, BATCH_MIN - 1, BATCH_MIN + 1):
+            xs = ([(1 << u) - 1] + [rng.getrandbits(u) for _ in range(n)])[:n]
+            planes = BytePlanes.from_bits(xs, u)
+            for b in self.KERNEL_WIDTHS:
+                for sample in (sample_uniform_linear, sample_uniform_affine):
+                    T = sample(u, b, rng)
+                    assert batch_apply_bits(T, planes) == [T.apply_bits(x) for x in xs], (n, b)
+
+    @pytest.mark.parametrize("u", (1, 5, 7, 8, 9, 17, 63, 64, 65, 100, 128, 130))
+    def test_planes_match_per_plane_construction(self, u):
+        rng = random.Random(3000 + u)
+        top = 1 << (u - 1)
+        xs = [0, top, (1 << u) - 1] + [rng.getrandbits(u) | top for _ in range(50)]
+        xs += [rng.getrandbits(u) for _ in range(50)]
+        oracle = tuple(bytes([(x >> s) & 255 for x in xs]) for s in range(0, u, 8))
+        assert BytePlanes.from_bits(xs, u).planes == oracle
 
     def test_planes_hold_bytes(self):
         planes = BytePlanes.from_bits([0x0102, 0xFF, 0x10000], 17)

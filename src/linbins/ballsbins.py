@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, repeat
+from operator import ne
 from typing import Callable, Mapping, Sequence
 
 from .gf2 import (
@@ -53,8 +54,9 @@ SET_KINDS = ("interval", "random", "subspace", "affine", "cluster")
 EVENT_DIM_CAP = 24
 
 # From this many balls on, an apply pass runs the batch kernel on byte planes;
-# below it the per-map table build costs more than scalar applies.
-BATCH_MIN = 256
+# below it the per-map table build costs more than scalar applies.  Measured
+# up to 32x32 maps, the kernel wins at 128 balls but can lose at 64.
+BATCH_MIN = 128
 
 RNG_ALGORITHM = "python-random-mt19937"
 SEED_SCHEME = "sha256(master/label/index)"
@@ -135,7 +137,10 @@ class BallSet:
     """A deduplicated set of packed u-bit vectors plus provenance for outputs.
 
     basis_bits spans the set (subspace, affine) or its core (cluster), and
-    shift_bits is the coset offset of an affine set.  `members`, `basis` and
+    shift_bits is the coset offset of an affine set (0 when omitted).  A
+    subspace or affine set with a basis must list its members as
+    shift ^ span(basis) in subset-XOR order, as generate_set builds them; the
+    rank route and the closed form read only the basis.  `members`, `basis` and
     `shift` are GF2Vector views of the packed fields; `planes` holds the
     members as byte planes for the batch kernel, built on first use.
     """
@@ -154,6 +159,14 @@ class BallSet:
             raise ValueError(f"member out of range for universe dim {self.universe_dim}")
         if len(set(bits)) != len(bits):
             raise ValueError("ball set members must be distinct")
+        basis = self.basis_bits
+        if self.kind in ("subspace", "affine") and basis is not None:
+            shift = (self.shift_bits or 0) if self.kind == "affine" else 0
+            if not _lists_span(bits, basis, shift):
+                raise ValueError(
+                    f"{self.kind} members must be shift ^ span(basis) in "
+                    f"subset-XOR order (shift {shift}, {len(basis)} basis vectors, "
+                    f"{len(bits)} members)")
 
     @classmethod
     def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],
@@ -192,6 +205,23 @@ class BallSet:
         if self.basis_bits is not None:
             params += f",dim={len(self.basis_bits)}"
         return f"{self.kind}({params})"
+
+
+def _lists_span(bits: Sequence[int], basis: Sequence[int], shift: int) -> bool:
+    """Whether bits is shift ^ _span(basis), in order.
+
+    _span lists members [2^j, 2^(j+1)) as members [0, 2^j) XOR basis[j], so
+    each such block is compared with its prefix through islice, without a
+    second copy of the members.
+    """
+    if len(bits) != 1 << len(basis) or bits[0] != shift:
+        return False
+    h = 1
+    for v in basis:
+        if any(map(ne, islice(bits, h, 2 * h), map(v.__xor__, islice(bits, h)))):
+            return False
+        h *= 2
+    return True
 
 
 def _sample_distinct(universe_dim: int, size: int, rng: random.Random,

@@ -17,11 +17,6 @@ class BoundValue(NamedTuple):
     clamped: float
 
 
-class TailParameters(NamedTuple):
-    inter_dim: int
-    threshold: int
-
-
 def _clamp(x: float) -> float:
     return min(1.0, max(0.0, x))
 
@@ -100,11 +95,6 @@ def bound_tail(bin_dim: int, r: float, eps: float) -> float:
     return (x ** exponent) / (1.0 - eps)
 
 
-def _ell_floor(c_eps: float, gap: int) -> float:
-    """c_eps * gap * 2^gap, the formula behind ell_threshold."""
-    return c_eps * gap * (2.0 ** gap)
-
-
 def ell_threshold(eps: float, inter_dim: int, bin_dim: int) -> float:
     """Smallest bin-size threshold the fiber-coverage comparison supports.
 
@@ -114,35 +104,38 @@ def ell_threshold(eps: float, inter_dim: int, bin_dim: int) -> float:
     _check_eps(eps)
     if inter_dim < bin_dim:
         raise ValueError("intermediate dimension must be >= bin dimension")
-    return _ell_floor(c_epsilon(eps), inter_dim - bin_dim)
+    gap = inter_dim - bin_dim
+    return c_epsilon(eps) * gap * (2.0 ** gap)
 
 
-def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> TailParameters:
+def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> tuple[int, int]:
     """Intermediate dimension and threshold used to instantiate the tail bound.
 
-    f = floor(b + log r - log log r + 1) and ell = ceil(2 * c_epsilon(eps) * r).
-    Verifies its own requirements: f must exceed b and ell must clear
-    ell_threshold(eps, f, b); for r >= 4 both always hold.
+    Returns (f, ell) with f = floor(b + log r - log log r + 1) and
+    ell = ceil(2 * c_epsilon(eps) * r).  Verifies its own requirements: f must
+    exceed b and ell must clear ell_threshold(eps, f, b); for r >= 4 both hold
+    up to float rounding of b + log r.
     """
     if bin_dim < 1:
         raise ValueError("bin dimension must be >= 1")
     if r < 4:
         raise ValueError(f"r must be >= 4, got {r}")
-    _check_eps(eps)
+    # c_epsilon checks eps on every call: lru_cache never caches an exception.
+    c_eps = c_epsilon(eps)
     lg = math.log2(r)
     inter_dim = math.floor(bin_dim + lg - math.log2(lg) + 1)
-    c_eps = c_epsilon(eps)
     threshold = math.ceil(2.0 * c_eps * r)
     if inter_dim <= bin_dim:
         raise ArithmeticError(
             f"instantiation failed: intermediate dim {inter_dim} <= bin dim {bin_dim}"
         )
-    ell_floor = _ell_floor(c_eps, inter_dim - bin_dim)
+    gap = inter_dim - bin_dim
+    ell_floor = c_eps * gap * (2.0 ** gap)
     if threshold < ell_floor:
         raise ArithmeticError(
             f"instantiation failed: threshold {threshold} below {ell_floor}"
         )
-    return TailParameters(inter_dim, threshold)
+    return inter_dim, threshold
 
 
 def tail_exponent_margin(bin_dim: int, r: float) -> float:

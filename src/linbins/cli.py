@@ -343,9 +343,8 @@ def _bound_rows(args: argparse.Namespace) -> list[dict]:
         for b in args.b:
             for r in args.r:
                 for eps in args.eps:
-                    p = tail_bound_parameters(b, r, eps)
-                    add("tail-params", b=b, r=r, eps=eps, f=p.inter_dim,
-                        value=p.threshold)
+                    f, ell = tail_bound_parameters(b, r, eps)
+                    add("tail-params", b=b, r=r, eps=eps, f=f, value=ell)
     if wanted in ("exponent-margin", "all"):
         for b in args.b:
             for r in args.r:

@@ -300,9 +300,10 @@ class TestBinCounts:
 
 
 class TestBatchPath:
-    """The byte-plane path against scalar oracles, around the BATCH_MIN cutoff."""
+    """The byte-plane path against scalar oracles, around the BATCH_MIN cutoff
+    and around 256 balls, well above it."""
 
-    SIZES = (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1)
+    SIZES = (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, 255, 256, 257)
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("affine", [False, True])
@@ -351,7 +352,8 @@ class TestBatchPath:
 
     @pytest.mark.parametrize("b", [7, 8, 9])
     def test_list_counter_matches_counter(self, b):
-        # 255..257 balls into 2^7..2^9 bins fall on both sides of 2^b == |S|
+        # 127..129 and 255..257 balls into 2^7..2^9 bins fall on both sides
+        # of 2^b == |S|
         rng = random.Random(60 + b)
         for size in self.SIZES:
             for _ in range(20):
@@ -420,6 +422,30 @@ class TestRankRoute:
             BallSet(5, (0, 1, 2, 3), "subspace"),   # no stored basis
         ):
             assert ballsbins._linear_basis(S) is None
+
+    @pytest.mark.parametrize("args", [
+        (3, (0, 1, 2, 3), "subspace", (1,)),         # 4 members, a 1-dim basis
+        (3, (0, 1), "subspace", (1, 2)),             # 2 members, a 2-dim basis
+        (3, (1, 0), "subspace", (1,)),               # a subspace starts at 0
+        (3, (5, 4), "affine", (1,), 6),              # wrong shift
+        (3, (0, 1), "affine", (1,), 4),              # shift given, members at 0
+        (3, (4, 5), "affine", (1,)),                 # omitted shift means 0
+        (3, (0, 1, 2, 3), "subspace", (2, 1)),       # span, out of order
+        (3, (0, 1, 2, 7), "subspace", (1, 2)),       # not the span
+    ])
+    def test_linear_set_must_list_its_span(self, args):
+        with pytest.raises(ValueError, match="subset-XOR order"):
+            BallSet(*args)
+
+    def test_linear_set_matching_basis_accepted(self):
+        assert BallSet(3, (0, 2, 1, 3), "subspace", (2, 1)).size == 4
+        assert BallSet(3, (4, 6, 5, 7), "affine", (2, 1), 4).size == 4
+        assert BallSet(3, (0, 2), "affine", (2,)).size == 2
+        rng = random.Random(96)
+        for kind in ("subspace", "affine"):
+            for d in range(6):
+                S = generate_set(kind, 9, d, rng)
+                assert BallSet(9, S.member_bits, kind, S.basis_bits, S.shift_bits) == S
 
 
 class TestEventE1:

@@ -1,5 +1,6 @@
 """Tests for the closed-form bound evaluators."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 
 from linbins.bounds import (
     BoundValue,
-    TailParameters,
     bound_e2,
     bound_surjective_miss,
     bound_tail,
@@ -143,32 +143,92 @@ class TestEllThreshold:
 
 
 class TestTailParameters:
+    # sha256 over repr((f, ell)) + "\n" for every point of _grid(), in order.
+    GRID_DIGEST = "e35635d4854c1582fad7c51ababfaf880d3d375019ca968e100611aab3599e9b"
+
+    @staticmethod
+    def _grid():
+        """200,000 (b, r, eps) points, integer and float r."""
+        rs = [4 + 2099 * k for k in range(500)] + [4.0 * 1.02 ** k for k in range(500)]
+        for b in range(1, 51):
+            for r in rs:
+                for eps in (0.25, 0.5, 0.75, 0.9):
+                    yield b, r, eps
+
     def test_examples(self):
-        assert tail_bound_parameters(8, 16, 0.5).inter_dim == 11
-        assert tail_bound_parameters(8, 4, 0.5).inter_dim == 10
+        assert tail_bound_parameters(8, 16, 0.5)[0] == 11
+        assert tail_bound_parameters(8, 4, 0.5)[0] == 10
 
     def test_threshold_value(self):
-        p = tail_bound_parameters(8, 16, 0.5)
-        assert p.threshold == math.ceil(2 * c_epsilon(0.5) * 16)
+        f, ell = tail_bound_parameters(8, 16, 0.5)
+        assert ell == math.ceil(2 * c_epsilon(0.5) * 16)
+
+    def test_plain_int_tuple(self):
+        p = tail_bound_parameters(8, 16.5, 0.75)
+        assert type(p) is tuple and len(p) == 2
+        assert all(type(x) is int for x in p)
+
+    def test_grid_digest_pinned(self):
+        h = hashlib.sha256()
+        for b, r, eps in self._grid():
+            h.update(repr(tail_bound_parameters(b, r, eps)).encode() + b"\n")
+        assert h.hexdigest() == self.GRID_DIGEST
 
     def test_gap_always_positive_and_threshold_clears(self):
         rng = random.Random(0)
         for b in range(1, 33):
             for k in range(2, 21):
                 r = 2 ** k
-                p = tail_bound_parameters(b, r, 0.5)
-                assert p.inter_dim > b
-                assert p.threshold >= ell_threshold(0.5, p.inter_dim, b)
+                f, ell = tail_bound_parameters(b, r, 0.5)
+                assert f > b
+                assert ell >= ell_threshold(0.5, f, b)
         for _ in range(3000):
             b = rng.randint(1, 32)
             r = rng.randint(4, 1 << 20)
             eps = rng.choice((0.25, 0.5, 0.75))
-            p = tail_bound_parameters(b, r, eps)
-            assert p.inter_dim > b
+            f, ell = tail_bound_parameters(b, r, eps)
+            assert f > b
 
     def test_domain(self):
         with pytest.raises(ValueError):
             tail_bound_parameters(8, 2, 0.5)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((0, 16, 0.5), ValueError, "bin dimension must be >= 1"),
+        ((-3, 2, 1.5), ValueError, "bin dimension must be >= 1"),
+        ((8, 2, 0.5), ValueError, "r must be >= 4, got 2"),
+        ((8, 3.999, 1.5), ValueError, "r must be >= 4, got 3.999"),
+        ((8, 16, 0.0), ValueError, "eps must lie in (0, 1), got 0.0"),
+        ((8, 16, 1.0), ValueError, "eps must lie in (0, 1), got 1.0"),
+        ((8, 16, -0.5), ValueError, "eps must lie in (0, 1), got -0.5"),
+        ((8, 16, float("nan")), ValueError, "eps must lie in (0, 1), got nan"),
+        ((8, float("nan"), 1.5), ValueError, "eps must lie in (0, 1), got 1.5"),
+        ((8, float("nan"), 0.5), ValueError, "cannot convert float NaN to integer"),
+        ((8, 16, 0.01), OverflowError,
+         "c_epsilon = 4*(2/eps)^(8/eps) overflows a float at eps=0.01"),
+        # b + 2 rounds back to b, so f == b
+        ((1e17, 4, 0.5), ArithmeticError,
+         "instantiation failed: intermediate dim 100000000000000000 <= bin dim 1e+17"),
+        # b + 3.13 rounds up to b + 4, so f - b overshoots log r - log log r + 1
+        ((2.0 ** 53, 18.4, 0.5), ArithmeticError,
+         "instantiation failed: threshold 632219185972 below 1099511627776.0"),
+        ((2.0 ** 53, 18.4, 0.75), ArithmeticError,
+         "instantiation failed: threshold 5147239 below 8951719.039599504"),
+    ])
+    def test_error_paths(self, args, error, message):
+        # Twice, so a cached c_epsilon cannot let a repeat through.
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                tail_bound_parameters(*args)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_bad_eps_after_good_call(self):
+        tail_bound_parameters(8, 16, 0.5)
+        for eps in (1.5, 0.0, 1.5):
+            with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\), got "):
+                tail_bound_parameters(8, 16, eps)
+        assert tail_bound_parameters(8, 16, 0.5) == (11, 2 ** 39)
 
 
 class TestExponentMargin:

@@ -2,7 +2,7 @@
 
 Each fixture under tests/golden/ holds the CSV data rows (the `# manifest:`
 line, the only line allowed to vary, stripped) of one small run.  The
-simulate runs cover the scalar apply path (fewer than 256 balls) and the
+simulate runs cover the scalar apply path (fewer than BATCH_MIN balls) and the
 batch path at in_dim 8, 12 and 24, that is one, two and three byte chunks,
 plus linear sets (subspace, affine, a power-of-two interval) of both sizes.
 The exact runs cover enumerated (interval, random) and linear sets.

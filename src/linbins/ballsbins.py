@@ -157,16 +157,24 @@ class BallSet:
             raise ValueError("a ball set needs at least one member")
         if min(bits) < 0 or max(bits) >> self.universe_dim:
             raise ValueError(f"member out of range for universe dim {self.universe_dim}")
-        if len(set(bits)) != len(bits):
-            raise ValueError("ball set members must be distinct")
         basis = self.basis_bits
+        spans = None  # whether a linear set with a basis lists shift ^ span(basis)
         if self.kind in ("subspace", "affine") and basis is not None:
             shift = (self.shift_bits or 0) if self.kind == "affine" else 0
-            if not _lists_span(bits, basis, shift):
-                raise ValueError(
-                    f"{self.kind} members must be shift ^ span(basis) in "
-                    f"subset-XOR order (shift {shift}, {len(basis)} basis vectors, "
-                    f"{len(bits)} members)")
+            spans = _lists_span(bits, basis, shift)
+        # a listed span repeats no member exactly when its basis is independent,
+        # which spares a set() copy of the members
+        if spans:
+            distinct = _rank_of_bits(basis) == len(basis)
+        else:
+            distinct = len(set(bits)) == len(bits)
+        if not distinct:
+            raise ValueError("ball set members must be distinct")
+        if spans is False:
+            raise ValueError(
+                f"{self.kind} members must be shift ^ span(basis) in "
+                f"subset-XOR order (shift {shift}, {len(basis)} basis vectors, "
+                f"{len(bits)} members)")
 
     @classmethod
     def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],

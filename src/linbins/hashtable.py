@@ -6,6 +6,13 @@ the uniform-map guarantee on bin sizes is restored after every resize.
 Buckets are computed from the map's per-byte lookup tables, rebuilt each
 time the map is set; audit() re-checks every entry with the row-parity
 apply_bits.
+
+Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
+in insertion order, and every empty bucket is the shared ().  Insert,
+replace and remove store a new tuple in the bucket; chains are short, so
+the copy is cheap.  The garbage collector stops tracking a tuple of ints at
+its first collection, so a table with int values holds O(1) tracked
+objects at any size, and its grows trigger no full collections.
 """
 
 from __future__ import annotations
@@ -15,6 +22,18 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .gf2 import GF2Vector, LinearMap, byte_apply_tables, sample_uniform_affine
+
+
+def _slot(chain: tuple, kbits: int) -> int:
+    """The slot of kbits among the chain's keys (even slots), or -1.
+
+    Only the keys are compared, so a value never has its __eq__ called.
+    """
+    if chain:
+        keys = chain[::2]
+        if kbits in keys:
+            return 2 * keys.index(kbits)
+    return -1
 
 
 @dataclass(frozen=True)
@@ -32,9 +51,10 @@ class TableStats:
 class LinearHashTable:
     """Separate chaining with insertion-order chains and grow-at-full policy.
 
-    Keys are GF2Vectors at the interface; chains hold [key bits, value]
-    entries.  Single writer; readers may share the table between mutations.
-    The rng handle is owned by the table for resampling on resize.
+    Keys are GF2Vectors at the interface; a chain is a flat tuple of key
+    bits and values, alternating.  Single writer; readers may share the
+    table between mutations.  The rng handle is owned by the table for
+    resampling on resize.
     """
 
     def __init__(self, key_bits: int, bucket_bits: int, rng: random.Random,
@@ -49,7 +69,7 @@ class LinearHashTable:
         self._bucket_bits = bucket_bits
         self._rng = rng
         self._set_hash(hash_map or sample_uniform_affine(key_bits, bucket_bits, rng))
-        self._buckets: list[list[list]] = [[] for _ in range(1 << bucket_bits)]
+        self._buckets: list[tuple] = [()] * (1 << bucket_bits)
         self._size = 0
         self._resizes = 0
         self._hit_lookups = 0
@@ -88,9 +108,6 @@ class LinearHashTable:
             kbits >>= 8
         return acc
 
-    def _chain(self, kbits: int) -> list[list]:
-        return self._buckets[self._bucket(kbits)]
-
     def insert(self, key: GF2Vector, value: Any) -> Any | None:
         """Store key -> value; returns the replaced value, if any.
 
@@ -99,65 +116,70 @@ class LinearHashTable:
         """
         self._check_key(key)
         kbits = key.bits
-        chain = self._chain(kbits)
-        for entry in chain:
-            if entry[0] == kbits:
-                old = entry[1]
-                entry[1] = value
-                return old
+        b = self._bucket(kbits)
+        chain = self._buckets[b]
+        i = _slot(chain, kbits)
+        if i >= 0:
+            self._buckets[b] = chain[: i + 1] + (value,) + chain[i + 2 :]
+            return chain[i + 1]
         if self._size + 1 > len(self._buckets):
             self._grow()
-            chain = self._chain(kbits)
-        chain.append([kbits, value])
+            b = self._bucket(kbits)
+            chain = self._buckets[b]
+        self._buckets[b] = chain + (kbits, value)
         self._size += 1
         return None
 
-    def _probe(self, key: GF2Vector) -> tuple[list[list], int]:
-        """The key's chain and its index there (-1 if absent), counting the probes."""
+    def _probe(self, key: GF2Vector) -> tuple[int, int]:
+        """The key's bucket and its key slot there (-1 if absent), counting the probes."""
         self._check_key(key)
         kbits = key.bits
-        chain = self._chain(kbits)
-        for i, entry in enumerate(chain):
-            if entry[0] == kbits:
-                self._hit_lookups += 1
-                self._hit_probes += i + 1
-                return chain, i
-        self._miss_lookups += 1
-        self._miss_probes += len(chain)
-        return chain, -1
+        b = self._bucket(kbits)
+        chain = self._buckets[b]
+        i = _slot(chain, kbits)
+        if i >= 0:
+            self._hit_lookups += 1
+            self._hit_probes += i // 2 + 1
+        else:
+            self._miss_lookups += 1
+            self._miss_probes += len(chain) // 2
+        return b, i
 
     def get(self, key: GF2Vector) -> Any | None:
-        chain, i = self._probe(key)
-        return chain[i][1] if i >= 0 else None
+        b, i = self._probe(key)
+        return self._buckets[b][i + 1] if i >= 0 else None
 
     def remove(self, key: GF2Vector) -> Any | None:
-        chain, i = self._probe(key)
+        b, i = self._probe(key)
         if i < 0:
             return None
+        chain = self._buckets[b]
+        self._buckets[b] = chain[:i] + chain[i + 2 :]
         self._size -= 1
-        return chain.pop(i)[1]
+        return chain[i + 1]
 
     def __contains__(self, key: GF2Vector) -> bool:
         self._check_key(key)
-        return any(entry[0] == key.bits for entry in self._chain(key.bits))
+        return _slot(self._buckets[self._bucket(key.bits)], key.bits) >= 0
 
     def keys(self) -> Iterator[GF2Vector]:
         for chain in self._buckets:
-            for entry in chain:
-                yield GF2Vector(self._key_bits, entry[0])
+            for kbits in chain[::2]:
+                yield GF2Vector(self._key_bits, kbits)
 
     def _grow(self) -> None:
         self._bucket_bits += 1
         self._set_hash(sample_uniform_affine(self._key_bits, self._bucket_bits, self._rng))
-        buckets: list[list[list]] = [[] for _ in range(1 << self._bucket_bits)]
+        buckets: list[tuple] = [()] * (1 << self._bucket_bits)
+        bucket = self._bucket
         for chain in self._buckets:
-            for entry in chain:
-                buckets[self._bucket(entry[0])].append(entry)
+            for i in range(0, len(chain), 2):
+                buckets[bucket(chain[i])] += chain[i : i + 2]
         self._buckets = buckets
         self._resizes += 1
 
     def max_chain(self) -> int:
-        return max((len(c) for c in self._buckets), default=0)
+        return max(map(len, self._buckets), default=0) // 2
 
     def stats(self) -> TableStats:
         return TableStats(
@@ -179,12 +201,12 @@ class LinearHashTable:
         """Full-scan invariant check; raises on any placement or size defect."""
         total = 0
         for idx, chain in enumerate(self._buckets):
-            for entry in chain:
+            for kbits in chain[::2]:
                 total += 1
-                expected = self._hash.apply_bits(entry[0])
+                expected = self._hash.apply_bits(kbits)
                 if expected != idx:
                     raise RuntimeError(
-                        f"entry 0x{entry[0]:x} sits in bucket {idx}, hashes to {expected}"
+                        f"entry 0x{kbits:x} sits in bucket {idx}, hashes to {expected}"
                     )
         if total != self._size:
             raise RuntimeError(f"size {self._size} != stored entries {total}")

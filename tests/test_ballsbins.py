@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -436,6 +437,25 @@ class TestRankRoute:
     def test_linear_set_must_list_its_span(self, args):
         with pytest.raises(ValueError, match="subset-XOR order"):
             BallSet(*args)
+
+    @pytest.mark.parametrize("args", [
+        (3, (0, 1, 1, 0), "subspace", (1, 1)),       # the span of a repeated vector
+        (3, (0, 0), "subspace", (0,)),               # a zero basis vector
+        (3, (4, 5, 7, 6, 6, 7, 5, 4), "affine", (1, 3, 2), 4),  # 2 = 1 ^ 3
+    ])
+    def test_dependent_basis_rejected(self, args):
+        with pytest.raises(ValueError, match="must be distinct"):
+            BallSet(*args)
+
+    def test_linear_set_validation_copies_no_members(self):
+        S = generate_set("affine", 30, 16, random.Random(97))
+        tracemalloc.start()
+        try:
+            BallSet(30, S.member_bits, "affine", S.basis_bits, S.shift_bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # a set() of the 65,536 members takes ~2.5 MiB
 
     def test_linear_set_matching_basis_accepted(self):
         assert BallSet(3, (0, 2, 1, 3), "subspace", (2, 1)).size == 4

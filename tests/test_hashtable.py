@@ -1,5 +1,8 @@
 """Tests for the chained hash table with affine GF(2) hashing."""
 
+import dataclasses
+import gc
+import hashlib
 import random
 
 import pytest
@@ -82,6 +85,22 @@ class TestMapSemantics:
         t.insert(key(7), 1)
         assert key(7) in t
         assert key(8) not in t
+
+    def test_values_never_compared(self):
+        class NoEq:
+            def __eq__(self, other):
+                raise AssertionError("a value was compared")
+            __hash__ = object.__hash__
+
+        t = LinearHashTable(8, 1, random.Random(7))
+        vals = [NoEq() for _ in range(2)]
+        for i, v in enumerate(vals):
+            t.insert(key(i), v)
+        t.insert(key(1), vals[0])
+        assert t.get(key(1)) is vals[0] and t.get(key(9)) is None
+        assert key(0) in t and key(9) not in t
+        assert t.remove(key(0)) is vals[0] and t.remove(key(9)) is None
+        t.audit()
 
     def test_key_dim_checked(self):
         t = LinearHashTable(8, 3, random.Random(6))
@@ -195,6 +214,46 @@ class TestStructure:
         t.get(key(200))
         assert t.stats().miss_lookups == 1
 
+    # sha256 of a seeded 6,000-op run (inserts, replaces, hits, misses,
+    # membership tests and removes that empty chains, through 7 grows),
+    # computed before chains were stored as flat tuples
+    MIXED_DIGEST = "0f9f52df314e3e2ca9180135f30ff022782a5b33050bd6165fe3276e3c7e698e"
+
+    def test_mixed_workload_digest_pinned(self):
+        t = LinearHashTable(16, 2, random.Random(31))
+        rng = random.Random(32)
+        pool = rng.sample(range(1 << 16), 200)
+        out = []
+        for step in range(6_000):
+            k = GF2Vector(16, rng.choice(pool) if rng.random() < 0.9 else rng.getrandbits(16))
+            op = rng.random()
+            if op < 0.4:
+                out.append(t.insert(k, step))
+            elif op < 0.6:
+                out.append(t.get(k))
+            elif op < 0.7:
+                out.append(k in t)
+            else:
+                out.append(t.remove(k))
+        s = t.stats()
+        assert (s.size, s.bucket_bits, s.resizes) == (343, 9, 7)
+        blob = repr((out, dataclasses.astuple(s), [k.bits for k in t.keys()]))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.MIXED_DIGEST
+
+    def test_int_valued_table_holds_few_gc_objects(self):
+        # chains of ints leave the collector's tracking, so a table with int
+        # values adds O(1) tracked objects, not one or two per entry
+        keys = random.Random(19).sample(range(1 << 32), 10_000)
+        rng = random.Random(20)
+        gc.collect()
+        before = len(gc.get_objects())
+        t = LinearHashTable(32, 4, rng)
+        for i, k in enumerate(keys):
+            t.insert(GF2Vector(32, k), i)
+        gc.collect()
+        assert t.stats().resizes == 10
+        assert len(gc.get_objects()) - before < 50
+
     def test_keys_iterates_everything(self):
         t = LinearHashTable(8, 3, random.Random(18))
         for i in range(6):
@@ -207,10 +266,8 @@ class TestTableBuckets:
 
     @staticmethod
     def _check_placement(t, probe_keys):
+        t.audit()  # every stored key sits in bucket apply_bits(key)
         T = t.hash_map
-        for idx, chain in enumerate(t._buckets):
-            for entry in chain:
-                assert T.apply_bits(entry[0]) == idx
         for k in probe_keys:
             assert t._bucket(k) == T.apply_bits(k)
 

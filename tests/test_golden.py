@@ -40,6 +40,8 @@ GOLDEN = {
                                       "--set", "interval", "--set-size", "1024"],
     "simulate-affine-batch": _SIM + ["20", "--u", "16", "--b", "6",
                                      "--set", "affine", "--set-dim", "9"],
+    "simulate-affine-small-dim": _SIM + ["200", "--u", "32", "--b", "16",
+                                         "--set", "affine", "--set-dim", "3"],
     "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
                        "--set-size", "5", "--thresholds", "2,3"],
     "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",

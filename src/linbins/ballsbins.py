@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import ne
 from typing import Callable, Mapping, Sequence
@@ -408,11 +408,15 @@ def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[i
 
     On a linear set with basis B of dimension d every nonempty bin is a coset
     of span(B) meet Ker(T), so the largest bin is 2^(d - rank(T B)).  Only
-    T's linear part enters: a translation permutes the bins.
+    T's linear part enters: a translation permutes the bins.  Row i of T B
+    is B applied to row i of T; the rows are made one at a time, and none
+    after the rank reaches its ceiling min(b, d).
     """
     if isinstance(balls, SubspaceBasis):
-        rows, basis = T.row_bits, balls.basis_bits
-        return 1 << (len(basis) - _rank_of_bits([_apply_rows(rows, v) for v in basis]))
+        basis = balls.basis_bits
+        d = len(basis)
+        rows = map(partial(_apply_rows, basis), T.row_bits)
+        return 1 << (d - _rank_of_bits(rows, min(d, T.out_dim)))
     return _largest_load(_images(T, balls), T.out_dim)
 
 

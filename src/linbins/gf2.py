@@ -224,8 +224,14 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-def _rank_of_bits(rows: Sequence[int]) -> int:
-    """Rank over GF(2) by elimination on packed rows."""
+def _rank_of_bits(rows: Iterable[int], stop: int | None = None) -> int:
+    """Rank over GF(2) by elimination on packed rows.
+
+    Rows are read lazily and in order.  Once the rank reaches `stop` (an
+    upper bound on it, such as the column count) no further row is read.
+    """
+    if stop == 0:
+        return 0
     pivots: list[int] = []
     for row in rows:
         for p in pivots:
@@ -234,6 +240,8 @@ def _rank_of_bits(rows: Sequence[int]) -> int:
                 row ^= p
         if row:
             pivots.append(row)
+            if len(pivots) == stop:
+                break
     return len(pivots)
 
 

@@ -4,8 +4,10 @@ The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
 the uniform-map guarantee on bin sizes is restored after every resize.
 Buckets are computed from the map's per-byte lookup tables, rebuilt each
-time the map is set; audit() re-checks every entry with the row-parity
-apply_bits.
+time the map is set; a grow instead rehashes all keys in one batch_apply_bits
+pass over their byte planes, appending the entries in their old order
+(bucket order, then chain order).  audit() re-checks every entry with the
+row-parity apply_bits.
 
 Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
 in insertion order, and every empty bucket is the shared ().  Insert,
@@ -17,11 +19,19 @@ objects at any size, and its grows trigger no full collections.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .gf2 import GF2Vector, LinearMap, byte_apply_tables, sample_uniform_affine
+from .gf2 import (
+    BytePlanes,
+    GF2Vector,
+    LinearMap,
+    batch_apply_bits,
+    byte_apply_tables,
+    sample_uniform_affine,
+)
 
 
 def _slot(chain: tuple, kbits: int) -> int:
@@ -170,12 +180,15 @@ class LinearHashTable:
     def _grow(self) -> None:
         self._bucket_bits += 1
         self._set_hash(sample_uniform_affine(self._key_bits, self._bucket_bits, self._rng))
+        flat = list(itertools.chain.from_iterable(self._buckets))
+        keys, values = flat[0::2], flat[1::2]
+        del flat
+        # the old chains are freed here, before the images are made
         buckets: list[tuple] = [()] * (1 << self._bucket_bits)
-        bucket = self._bucket
-        for chain in self._buckets:
-            for i in range(0, len(chain), 2):
-                buckets[bucket(chain[i])] += chain[i : i + 2]
         self._buckets = buckets
+        images = batch_apply_bits(self._hash, BytePlanes.from_bits(keys, self._key_bits))
+        for b, kbits, value in zip(images, keys, values):
+            buckets[b] += (kbits, value)
         self._resizes += 1
 
     def max_chain(self) -> int:

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,12 +396,33 @@ class TestRankRoute:
             for d in range(u + 1):
                 S = self.linear_set(kind, u, d, rng)
                 assert ballsbins._linear_basis(S).dim == d
-                # b = d - 1 < d, b = d + 1 > d, and both extremes
-                for b in sorted({1, max(1, d - 1), d + 1, u + 2}):
+                # b = d - 1 < d, b = d, b = d + 1 > d, and both extremes
+                for b in sorted({1, max(1, d - 1), max(1, d), d + 1, u + 2}):
                     L = sample_uniform_linear(u, b, rng)
-                    shifted = LinearMap(u, b, L.row_bits, rng.randrange(1, 1 << b))
-                    for T in (L, shifted):
+                    rows = L.row_bits
+                    maps = (
+                        L,
+                        LinearMap(u, b, rows, rng.randrange(1, 1 << b)),
+                        zero_map(u, b),
+                        LinearMap.from_row_bits(u, [rows[0]] * b),
+                        LinearMap.from_row_bits(u, [rows[i % 2] for i in range(b)]),
+                        LinearMap.from_row_bits(u, [0] * (b - 1) + [rows[-1]]),
+                    )
+                    for T in maps:
                         assert largest_bin(T, S) == bin_counts(T, S).max_count
+
+    def test_rows_past_full_rank_are_not_made(self):
+        S = BallSet(5, tuple(range(8)), "subspace", (1, 2, 4))
+        B = ballsbins._linear_basis(S)
+
+        def rows():
+            # T B is the identity after these three rows of T
+            yield from (1, 2, 4)
+            raise AssertionError("made a row of T B past full rank")
+
+        T = LinearMap.from_row_bits(5, [1, 2, 4, 8, 16])
+        assert largest_bin(T, S) == 1
+        assert ballsbins._largest_bin_of(SimpleNamespace(row_bits=rows(), out_dim=5), B) == 1
 
     @pytest.mark.parametrize("kind,arg", [("subspace", 5), ("affine", 3), ("interval", 512)])
     def test_trials_match_counting(self, kind, arg):

@@ -13,6 +13,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
+    _rank_of_bits,
     _section_columns,
     all_matrices,
     batch_apply_bits,
@@ -333,6 +334,22 @@ class TestRankKernelImage:
             ib = image_basis(T)
             assert set(ib.span_bits()) == truth
             assert ib.dim == rank(T)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 8).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=12))))
+    def test_rank_stop_at_full_rank(self, args):
+        width, rows = args
+        full = _rank_of_bits(rows)
+        assert _rank_of_bits(rows, min(width, len(rows))) == full
+        # the shortest prefix of full rank is all that is read
+        prefix = next(i for i in range(len(rows) + 1) if _rank_of_bits(rows[:i]) == full)
+
+        def feed():
+            yield from rows[:prefix]
+            raise AssertionError("read a row past the full-rank prefix")
+
+        assert _rank_of_bits(feed(), full) == full
 
     @settings(max_examples=120)
     @given(linear_maps())

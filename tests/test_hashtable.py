@@ -319,3 +319,62 @@ class TestTableBuckets:
         assert t.get(some_key) == "replaced"
         assert (t.stats().resizes, t.bucket_bits) == (resizes, bucket_bits)
         t.audit()
+
+
+class TestGrowRehash:
+    """Each grow's batch rehash against a per-entry apply_bits rehash."""
+
+    @staticmethod
+    def _scalar_rehash(old_buckets, T):
+        """The chains a grow must build: every entry in the old visiting
+        order (bucket order, then chain order) appended to bucket T(key)."""
+        buckets = [()] * (1 << T.out_dim)
+        for chain in old_buckets:
+            for i in range(0, len(chain), 2):
+                buckets[T.apply_bits(chain[i])] += chain[i : i + 2]
+        return buckets
+
+    def _checked_grows(self, t):
+        """Wrap t._grow so every grow is compared with the scalar rehash."""
+        grow = t._grow
+        seen = []
+
+        def checked():
+            old = list(t._buckets)
+            grow()
+            assert t._buckets == self._scalar_rehash(old, t.hash_map)
+            t.audit()
+            seen.append(t.bucket_bits)
+
+        t._grow = checked
+        return seen
+
+    @pytest.mark.parametrize("key_bits", [8, 9, 64, 65])
+    def test_grows_match_scalar_rehash(self, key_bits):
+        rng = random.Random(3000 + key_bits)
+        t = LinearHashTable(key_bits, 1, rng)
+        seen = self._checked_grows(t)
+        data = random.Random(4000 + key_bits)
+        pool = data.sample(range(1 << min(key_bits, 20)), 256)
+        if key_bits > 20:
+            pool = [k | data.getrandbits(key_bits) for k in pool]
+        for i, k in enumerate(pool):
+            t.insert(GF2Vector(key_bits, k), f"v{i}")
+        assert seen == list(range(2, 9))
+        assert len(t) == 256
+
+    def test_one_bit_keys(self):
+        t = LinearHashTable(1, 1, random.Random(5))
+        seen = self._checked_grows(t)
+        t.insert(GF2Vector(1, 1), "one")
+        t.insert(GF2Vector(1, 0), "zero")
+        for _ in range(3):
+            t._grow()  # two keys fill no table, so grow directly
+        assert seen == [2, 3, 4]
+        assert sorted(k.bits for k in t.keys()) == [0, 1]
+
+    def test_empty_table(self):
+        t = LinearHashTable(16, 2, random.Random(6))
+        seen = self._checked_grows(t)
+        t._grow()
+        assert seen == [3] and len(t) == 0 and t.max_chain() == 0

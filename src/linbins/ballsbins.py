@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import ne
 from typing import Callable, Mapping, Sequence
 
 from .gf2 import (
@@ -49,6 +48,8 @@ from .gf2 import (
 )
 
 SET_KINDS = ("interval", "random", "subspace", "affine", "cluster")
+# The kinds that are a basis (and a shift) rather than a member list.
+LINEAR_KINDS = ("subspace", "affine")
 
 # The E2 check marks a 2^f-byte coverage array over the intermediate space.
 EVENT_DIM_CAP = 24
@@ -134,47 +135,45 @@ def chi_square_sf(stat: float, df: int) -> float:
 
 @dataclass(frozen=True)
 class BallSet:
-    """A deduplicated set of packed u-bit vectors plus provenance for outputs.
+    """A set of distinct packed u-bit vectors plus provenance for outputs.
 
-    basis_bits spans the set (subspace, affine) or its core (cluster), and
-    shift_bits is the coset offset of an affine set (0 when omitted).  A
-    subspace or affine set with a basis must list its members as
-    shift ^ span(basis) in subset-XOR order, as generate_set builds them; the
-    rank route and the closed form read only the basis.  `members`, `basis` and
-    `shift` are GF2Vector views of the packed fields; `planes` holds the
-    members as byte planes for the batch kernel, built on first use.
+    A subspace or affine set is its basis: basis_bits spans it and shift_bits
+    is an affine set's coset offset (0 when omitted).  Other kinds list their
+    members in listed_bits; a cluster's basis_bits spans its core.
+    `member_bits` is the listed tuple itself, or shift ^ span(basis) in
+    subset-XOR order made on first use under the size guard.  `members`,
+    `basis` and `shift` are GF2Vector views of the packed fields; `planes`
+    holds the members as byte planes for the batch kernel, built on first use.
     """
 
     universe_dim: int
-    member_bits: tuple[int, ...]
+    listed_bits: tuple[int, ...] | None
     kind: str
     basis_bits: tuple[int, ...] | None = None
     shift_bits: int | None = None
 
     def __post_init__(self) -> None:
-        bits = self.member_bits
+        u = self.universe_dim
+        if self.kind in LINEAR_KINDS:
+            basis = self.basis_bits
+            if self.listed_bits is not None or basis is None:
+                raise ValueError(f"a {self.kind} set takes a basis and no member list")
+            if self.kind == "subspace" and self.shift_bits:
+                raise ValueError("a subspace set has no shift")
+            shift = self.shift_bits or 0
+            if any(v < 0 or v >> u for v in basis + (shift,)):
+                raise ValueError(f"basis or shift out of range for universe dim {u}")
+            # shift ^ span(basis) repeats no member exactly when the basis is independent
+            if _rank_of_bits(basis) != len(basis):
+                raise ValueError("ball set members must be distinct")
+            return
+        bits = self.listed_bits
         if not bits:
             raise ValueError("a ball set needs at least one member")
-        if min(bits) < 0 or max(bits) >> self.universe_dim:
-            raise ValueError(f"member out of range for universe dim {self.universe_dim}")
-        basis = self.basis_bits
-        spans = None  # whether a linear set with a basis lists shift ^ span(basis)
-        if self.kind in ("subspace", "affine") and basis is not None:
-            shift = (self.shift_bits or 0) if self.kind == "affine" else 0
-            spans = _lists_span(bits, basis, shift)
-        # a listed span repeats no member exactly when its basis is independent,
-        # which spares a set() copy of the members
-        if spans:
-            distinct = _rank_of_bits(basis) == len(basis)
-        else:
-            distinct = len(set(bits)) == len(bits)
-        if not distinct:
+        if min(bits) < 0 or max(bits) >> u:
+            raise ValueError(f"member out of range for universe dim {u}")
+        if len(set(bits)) != len(bits):
             raise ValueError("ball set members must be distinct")
-        if spans is False:
-            raise ValueError(
-                f"{self.kind} members must be shift ^ span(basis) in "
-                f"subset-XOR order (shift {shift}, {len(basis)} basis vectors, "
-                f"{len(bits)} members)")
 
     @classmethod
     def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],
@@ -183,6 +182,13 @@ class BallSet:
             if v.dim != universe_dim:
                 raise ValueError(f"member dim {v.dim} != universe {universe_dim}")
         return cls(universe_dim, tuple(v.bits for v in members), kind)
+
+    @cached_property
+    def member_bits(self) -> tuple[int, ...]:
+        if self.kind not in LINEAR_KINDS:
+            return self.listed_bits
+        _check_guard(len(self.basis_bits), "subspace enumeration")
+        return tuple(map((self.shift_bits or 0).__xor__, _span(self.basis_bits)))
 
     @property
     def members(self) -> tuple[GF2Vector, ...]:
@@ -201,7 +207,9 @@ class BallSet:
 
     @property
     def size(self) -> int:
-        return len(self.member_bits)
+        if self.kind in LINEAR_KINDS:
+            return 1 << len(self.basis_bits)
+        return len(self.listed_bits)
 
     @cached_property
     def planes(self) -> BytePlanes:
@@ -213,23 +221,6 @@ class BallSet:
         if self.basis_bits is not None:
             params += f",dim={len(self.basis_bits)}"
         return f"{self.kind}({params})"
-
-
-def _lists_span(bits: Sequence[int], basis: Sequence[int], shift: int) -> bool:
-    """Whether bits is shift ^ _span(basis), in order.
-
-    _span lists members [2^j, 2^(j+1)) as members [0, 2^j) XOR basis[j], so
-    each such block is compared with its prefix through islice, without a
-    second copy of the members.
-    """
-    if len(bits) != 1 << len(basis) or bits[0] != shift:
-        return False
-    h = 1
-    for v in basis:
-        if any(map(ne, islice(bits, h, 2 * h), map(v.__xor__, islice(bits, h)))):
-            return False
-        h *= 2
-    return True
 
 
 def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
@@ -294,7 +285,7 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
         raise ValueError("universe dimension must be >= 1")
     if kind not in SET_KINDS:
         raise ValueError(f"unknown set kind {kind!r} (choose from {SET_KINDS})")
-    if kind in ("subspace", "affine"):
+    if kind in LINEAR_KINDS:
         dim = size_or_dim
         if not 0 <= dim <= universe_dim:
             raise ValueError(f"subspace dim {dim} out of range for universe {universe_dim}")
@@ -311,14 +302,10 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
     if kind == "random":
         return BallSet(universe_dim, tuple(_sample_distinct(universe_dim, size, rng)), kind)
 
-    if kind in ("subspace", "affine"):
-        _check_guard(dim, "subspace enumeration")
+    if kind in LINEAR_KINDS:
         basis_bits = tuple(_sample_independent(universe_dim, dim, rng))
-        if kind == "subspace":
-            return BallSet(universe_dim, tuple(_span(basis_bits)), kind, basis_bits)
-        shift_bits = rng.getrandbits(universe_dim)
-        members = tuple(x ^ shift_bits for x in _span(basis_bits))
-        return BallSet(universe_dim, members, kind, basis_bits, shift_bits)
+        shift_bits = rng.getrandbits(universe_dim) if kind == "affine" else None
+        return BallSet(universe_dim, None, kind, basis_bits, shift_bits)
 
     # cluster: a low-dimensional core subspace plus random distinct noise
     core_dim = min(universe_dim, max(0, (size.bit_length() - 1) // 2))
@@ -387,7 +374,7 @@ def _linear_basis(S: BallSet) -> SubspaceBasis | None:
     The interval's basis is the unit vectors e_0..e_{k-1}; it is not stored
     on the set, whose descriptor would then print a dimension.
     """
-    if S.kind in ("subspace", "affine") and S.basis_bits is not None:
+    if S.kind in LINEAR_KINDS:
         return SubspaceBasis(S.universe_dim, S.basis_bits)
     n = S.size
     # distinct non-negative members with maximum n - 1 are exactly 0..n-1
@@ -625,7 +612,7 @@ class ExperimentConfig:
             raise ValueError("thresholds must be >= 1")
         if self.set_kind not in SET_KINDS:
             raise ValueError(f"unknown set kind {self.set_kind!r}")
-        if self.set_kind in ("subspace", "affine"):
+        if self.set_kind in LINEAR_KINDS:
             if self.set_dim is None:
                 raise ValueError(f"set kind {self.set_kind!r} needs set_dim")
         elif self.set_size is None:
@@ -657,11 +644,7 @@ class TrialSummary:
 def build_ball_set(config: ExperimentConfig) -> BallSet:
     """The fixed ball set of an experiment, derived from the master seed."""
     rng = substream(config.master_seed, "set")
-    arg = (
-        config.set_dim
-        if config.set_kind in ("subspace", "affine")
-        else config.set_size
-    )
+    arg = config.set_dim if config.set_kind in LINEAR_KINDS else config.set_size
     return generate_set(config.set_kind, config.universe_dim, arg, rng)
 
 
@@ -760,7 +743,7 @@ def exact_lbin_distribution(universe_dim: int, bin_dim: int,
     """
     if S.universe_dim != universe_dim:
         raise ValueError("ball set universe does not match")
-    if S.kind in ("subspace", "affine") and S.basis_bits is not None:
+    if S.kind in LINEAR_KINDS:
         d = len(S.basis_bits)
         behind = 1 << (bin_dim * (universe_dim - d))
         return {1 << (d - k): _rank_count(bin_dim, d, k) * behind
@@ -831,8 +814,8 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     2^k balls where k is that intersection's dimension, and the zero label
     always realizes the maximum.
     """
-    if S.kind != "subspace" or S.basis_bits is None:
-        raise ValueError("ball set must be a subspace kind with a stored basis")
+    if S.kind != "subspace":
+        raise ValueError("ball set must be a subspace kind")
     _check_map_vs_set(T, S)
     span_bits = S.basis_bits
     ker_bits = kernel_basis(T).basis_bits

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .ballsbins import (
     ExperimentConfig,
+    LINEAR_KINDS,
     RNG_ALGORITHM,
     SEED_SCHEME,
     SET_KINDS,
@@ -152,7 +153,7 @@ def _require_dims(args: argparse.Namespace) -> None:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     _require_dims(args)
-    if args.set in ("subspace", "affine"):
+    if args.set in LINEAR_KINDS:
         if args.set_dim is None:
             raise UsageError(f"--set {args.set} requires --set-dim")
         size, dim = None, args.set_dim
@@ -515,9 +516,10 @@ def cmd_table_bench(args: argparse.Namespace) -> int:
             S = generate_set(args.keys, args.u, n, rng)
         table = LinearHashTable(args.u, args.b, rng)
         if S is not None:
-            for i, key in enumerate(S.members):
+            keys = S.members
+            for i, key in enumerate(keys):
                 table.insert(key, i)
-            for key in S.members:
+            for key in keys:
                 table.get(key)
             for _ in range(S.size):
                 table.get(GF2Vector(args.u, rng.getrandbits(args.u)))

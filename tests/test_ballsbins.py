@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -42,6 +41,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     _rank_of_bits,
+    _span,
     compose,
     identity,
     kernel_basis,
@@ -412,7 +412,7 @@ class TestRankRoute:
                         assert largest_bin(T, S) == bin_counts(T, S).max_count
 
     def test_rows_past_full_rank_are_not_made(self):
-        S = BallSet(5, tuple(range(8)), "subspace", (1, 2, 4))
+        S = BallSet(5, None, "subspace", (1, 2, 4))
         B = ballsbins._linear_basis(S)
 
         def rows():
@@ -442,7 +442,6 @@ class TestRankRoute:
             generate_set("random", 5, 8, rng),
             generate_set("cluster", 5, 8, rng),
             BallSet(5, (1, 2, 3, 4), "interval"),   # labelled interval, not [0, 4)
-            BallSet(5, (0, 1, 2, 3), "subspace"),   # no stored basis
         ):
             assert ballsbins._linear_basis(S) is None
 
@@ -455,39 +454,63 @@ class TestRankRoute:
         (3, (4, 5), "affine", (1,)),                 # omitted shift means 0
         (3, (0, 1, 2, 3), "subspace", (2, 1)),       # span, out of order
         (3, (0, 1, 2, 7), "subspace", (1, 2)),       # not the span
+        (3, (0, 1, 2, 3), "subspace", (1, 2)),       # the span, in order
+        (5, (0, 1, 2, 3), "subspace"),               # members and no basis
+        (3, None, "subspace"),                       # no basis
+        (3, None, "affine", None, 4),                # a shift and no basis
     ])
-    def test_linear_set_must_list_its_span(self, args):
-        with pytest.raises(ValueError, match="subset-XOR order"):
+    def test_linear_set_takes_no_members(self, args):
+        with pytest.raises(ValueError, match="takes a basis and no member list"):
+            BallSet(*args)
+
+    @pytest.mark.parametrize("args,match", [
+        ((3, None, "subspace", (8,)), "out of range"),
+        ((3, None, "affine", (1,), 8), "out of range"),
+        ((3, None, "affine", (1, -1)), "out of range"),
+        ((3, None, "subspace", (1,), 4), "has no shift"),
+    ])
+    def test_linear_set_basis_checked(self, args, match):
+        with pytest.raises(ValueError, match=match):
             BallSet(*args)
 
     @pytest.mark.parametrize("args", [
-        (3, (0, 1, 1, 0), "subspace", (1, 1)),       # the span of a repeated vector
-        (3, (0, 0), "subspace", (0,)),               # a zero basis vector
-        (3, (4, 5, 7, 6, 6, 7, 5, 4), "affine", (1, 3, 2), 4),  # 2 = 1 ^ 3
+        (3, None, "subspace", (1, 1)),               # a repeated vector
+        (3, None, "subspace", (0,)),                 # a zero basis vector
+        (3, None, "affine", (1, 3, 2), 4),           # 2 = 1 ^ 3
     ])
     def test_dependent_basis_rejected(self, args):
         with pytest.raises(ValueError, match="must be distinct"):
             BallSet(*args)
 
-    def test_linear_set_validation_copies_no_members(self):
-        S = generate_set("affine", 30, 16, random.Random(97))
-        tracemalloc.start()
-        try:
-            BallSet(30, S.member_bits, "affine", S.basis_bits, S.shift_bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024  # a set() of the 65,536 members takes ~2.5 MiB
-
-    def test_linear_set_matching_basis_accepted(self):
-        assert BallSet(3, (0, 2, 1, 3), "subspace", (2, 1)).size == 4
-        assert BallSet(3, (4, 6, 5, 7), "affine", (2, 1), 4).size == 4
-        assert BallSet(3, (0, 2), "affine", (2,)).size == 2
+    def test_members_are_the_shifted_span(self):
+        assert BallSet(3, None, "subspace", (2, 1)).member_bits == (0, 2, 1, 3)
+        assert BallSet(3, None, "affine", (2, 1), 4).member_bits == (4, 6, 5, 7)
+        assert BallSet(3, None, "affine", (2,)).member_bits == (0, 2)
         rng = random.Random(96)
         for kind in ("subspace", "affine"):
-            for d in range(6):
+            for d in range(9):
                 S = generate_set(kind, 9, d, rng)
-                assert BallSet(9, S.member_bits, kind, S.basis_bits, S.shift_bits) == S
+                shift = S.shift_bits or 0
+                assert S.member_bits == tuple(shift ^ x for x in _span(S.basis_bits))
+                assert S.size == len(S.member_bits) == 1 << d
+
+    def test_listed_members_are_not_copied(self):
+        rng = random.Random(98)
+        for kind in ("interval", "random", "cluster"):
+            S = generate_set(kind, 9, 40, rng)
+            assert S.member_bits is S.listed_bits
+
+    def test_large_linear_set_lists_no_members(self):
+        S = generate_set("affine", 64, 40, random.Random(97))
+        T = sample_uniform_linear(64, 16, random.Random(98))
+        assert S.size == 1 << 40
+        assert S.descriptor == f"affine(u=64,size={1 << 40},dim=40)"
+        dist = exact_lbin_distribution(64, 16, S)
+        assert sum(dist.values()) == 1 << (64 * 16)
+        assert largest_bin(T, S) in dist and largest_bin(T, S) >= 1 << 24
+        assert "member_bits" not in S.__dict__
+        with pytest.raises(SizeGuardError, match="subspace enumeration"):
+            S.member_bits
 
 
 class TestEventE1:

@@ -274,15 +274,21 @@ class TestExact:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_linear_set_skips_size_guard(self, tmp_path):
-        # subspace and affine sets take the closed form, so u*b may pass the guard
-        code, text = run_to_file(tmp_path, "exact.csv", [
-            "exact", "--u", "32", "--b", "16", "--set", "subspace", "--set-dim", "4",
-            "--thresholds", "2,16",
-        ])
+    @pytest.mark.parametrize("argv,experiment,column,cells", [
+        (["exact", "--u", "32", "--b", "16", "--set", "subspace", "--set-dim", "4",
+          "--thresholds", "2,16"], "exact-tail", 9, {"2", "16"}),
+        (["simulate", "--u", "64", "--b", "16", "--set", "subspace", "--set-dim", "40",
+          "--trials", "100"], "simulate", 6, {str(i) for i in range(100)}),
+        (["exact", "--u", "64", "--b", "16", "--set", "affine", "--set-dim", "40"],
+         "exact-tail", 9, {"1"}),
+    ], ids=["exact-subspace-4", "simulate-subspace-40", "exact-affine-40"])
+    def test_linear_set_skips_size_guard(self, tmp_path, argv, experiment, column, cells):
+        # subspace and affine sets take the rank route and the closed form, which
+        # read only the basis, so neither u*b nor 2^dim meets the size guard
+        code, text = run_to_file(tmp_path, "out.csv", argv)
         assert code == 0
-        tails = {r.split(",")[9] for r in data_rows(text) if r.startswith("exact-tail,")}
-        assert tails == {"2", "16"}
+        rows = [r.split(",") for r in data_rows(text) if r.startswith(experiment + ",")]
+        assert {r[column] for r in rows} == cells and len(rows) == len(cells)
 
 
 class TestBounds:

@@ -3,8 +3,10 @@
 Each fixture under tests/golden/ holds the CSV data rows (the `# manifest:`
 line, the only line allowed to vary, stripped) of one small run.  The
 simulate runs cover the scalar apply path (fewer than BATCH_MIN balls) and the
-batch path at in_dim 8, 12 and 24, that is one, two and three byte chunks,
-plus linear sets (subspace, affine, a power-of-two interval) of both sizes.
+batch path at in_dim 8, 12 and 24 (one, two and three byte chunks) and on
+random sets whose images span two output bytes (u 32, b 16) and two 64-bit
+words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
+interval) of both sizes.
 The exact runs cover enumerated (interval, random) and linear sets.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
@@ -42,6 +44,10 @@ GOLDEN = {
                                      "--set", "affine", "--set-dim", "9"],
     "simulate-affine-small-dim": _SIM + ["200", "--u", "32", "--b", "16",
                                          "--set", "affine", "--set-dim", "3"],
+    "simulate-random-u32-b16": _SIM + ["20", "--u", "32", "--b", "16",
+                                       "--set", "random", "--set-size", "16384"],
+    "simulate-random-u72-b70": _SIM + ["20", "--u", "72", "--b", "70",
+                                       "--set", "random", "--set-size", "256"],
     "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
                        "--set-size", "5", "--thresholds", "2,3"],
     "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",

@@ -143,7 +143,8 @@ class BallSet:
     `member_bits` is the listed tuple itself, or shift ^ span(basis) in
     subset-XOR order made on first use under the size guard.  `members`,
     `basis` and `shift` are GF2Vector views of the packed fields; `planes`
-    holds the members as byte planes for the batch kernel, built on first use.
+    holds the members as byte planes for the batch kernel, and `linear_basis`
+    the basis the rank route reads, each built on first use.
     """
 
     universe_dim: int
@@ -214,6 +215,22 @@ class BallSet:
     @cached_property
     def planes(self) -> BytePlanes:
         return BytePlanes.from_bits(self.member_bits, self.universe_dim)
+
+    @cached_property
+    def linear_basis(self) -> SubspaceBasis | None:
+        """A basis of span(S - s) when S is a subspace, an affine coset or the
+        interval [0, 2^k); None for any other set.  Built on first use.
+
+        The interval's basis is the unit vectors e_0..e_{k-1}; it is not stored
+        in basis_bits, or the descriptor would print a dimension.
+        """
+        u, n = self.universe_dim, self.size
+        if self.kind in LINEAR_KINDS:
+            return SubspaceBasis(u, self.basis_bits)
+        # distinct non-negative members with maximum n - 1 are exactly 0..n-1
+        if self.kind == "interval" and not n & (n - 1) and max(self.member_bits) == n - 1:
+            return SubspaceBasis(u, tuple(1 << i for i in range(n.bit_length() - 1)))
+        return None
 
     @property
     def descriptor(self) -> str:
@@ -367,26 +384,10 @@ def _largest_load(images: Sequence[int], bin_dim: int) -> int:
     return max(counts)
 
 
-def _linear_basis(S: BallSet) -> SubspaceBasis | None:
-    """A basis of span(S - s) when S is a subspace, an affine coset or the
-    interval [0, 2^k); None for any other set.
-
-    The interval's basis is the unit vectors e_0..e_{k-1}; it is not stored
-    on the set, whose descriptor would then print a dimension.
-    """
-    if S.kind in LINEAR_KINDS:
-        return SubspaceBasis(S.universe_dim, S.basis_bits)
-    n = S.size
-    # distinct non-negative members with maximum n - 1 are exactly 0..n-1
-    if S.kind == "interval" and not n & (n - 1) and max(S.member_bits) == n - 1:
-        return SubspaceBasis(S.universe_dim, tuple(1 << i for i in range(n.bit_length() - 1)))
-    return None
-
-
 def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | tuple[int, ...]:
     """What a largest-bin measurement over S reads: its basis when it has one,
     else what an apply pass reads."""
-    basis = _linear_basis(S)
+    basis = S.linear_basis
     return _balls(S) if basis is None else basis
 
 

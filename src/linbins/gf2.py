@@ -163,6 +163,11 @@ class LinearMap:
         """column_bits[j] is the packed image of the j-th standard basis vector."""
         return tuple(_transpose(self.row_bits, self.in_dim))
 
+    @cached_property
+    def byte_tables(self) -> list[list[int]]:
+        """The map's per-byte lookup tables, built once by byte_apply_tables."""
+        return byte_apply_tables(self)
+
     def apply_bits(self, xbits: int) -> int:
         """Apply to a packed input, returning packed output bits."""
         out = _apply_rows(self.row_bits, xbits)
@@ -446,19 +451,20 @@ def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
     """Apply T to many packed inputs with bytes.translate over their byte planes.
 
     For input plane j and output byte c, "byte of x -> byte c of its
-    contribution to T(x)" is a 256-entry table cut from byte_apply_tables(T)
-    (a partial last input byte's 2^k entries are repeated to 256).  Byte c
-    of every image is then the XOR over j of plane_j.translate(table_jc),
+    contribution to T(x)" is a 256-entry table: byte plane c of T.byte_tables[j]
+    (a partial last input byte's 2^k entries are repeated to 256 first).
+    Byte c of every image is then the XOR over j of plane_j.translate(cut_jc),
     done as one XOR of big ints, so every loop runs in C.  The output bytes
     are interleaved into words of 1, 2, 4 or 8 bytes and read back as ints;
     maps wider than 64 output bits run 64 bits at a time and are OR-ed
-    together at their shifts.  Agrees bit for bit with apply_bits;
-    worthwhile once the input count clears a few hundred.
+    together at their shifts.  Agrees bit for bit with apply_bits; callers
+    use it from BATCH_MIN inputs up.
     """
-    tables = byte_apply_tables(T)
+    tables = T.byte_tables
     planes = xs.planes
     if len(planes) != len(tables):
         raise ValueError(f"map takes {T.in_dim} bits, inputs have {len(planes)} byte planes")
+    cuts = [BytePlanes.from_bits(t * (256 // len(t)), T.out_dim).planes for t in tables]
     n = len(xs)
     out: list[int] = []
     for base in range(0, T.out_dim, 64):
@@ -466,11 +472,9 @@ def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
         stride = 1 << (nbytes - 1).bit_length()
         buf = bytearray(n * stride)
         for c in range(nbytes):
-            shift = base + 8 * c
             acc = 0
-            for table, plane in zip(tables, planes):
-                cut = bytes([(v >> shift) & 255 for v in table]) * (256 // len(table))
-                acc ^= int.from_bytes(plane.translate(cut), "little")
+            for cut, plane in zip(cuts, planes):
+                acc ^= int.from_bytes(plane.translate(cut[base // 8 + c]), "little")
             # the word's low byte comes first in memory on a little-endian host
             at = c if sys.byteorder == "little" else stride - 1 - c
             buf[at::stride] = acc.to_bytes(n, "little")

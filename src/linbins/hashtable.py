@@ -3,11 +3,11 @@
 The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
 the uniform-map guarantee on bin sizes is restored after every resize.
-Buckets are computed from the map's per-byte lookup tables, rebuilt each
-time the map is set; a grow instead rehashes all keys in one batch_apply_bits
-pass over their byte planes, appending the entries in their old order
-(bucket order, then chain order).  audit() re-checks every entry with the
-row-parity apply_bits.
+Buckets are computed from the map's per-byte lookup tables, which the map
+builds once and keeps (LinearMap.byte_tables); a grow rehashes all keys in
+one batch_apply_bits pass over their byte planes, which reads the same
+tables, appending the entries in their old order (bucket order, then chain
+order).  audit() re-checks every entry with the row-parity apply_bits.
 
 Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
 in insertion order, and every empty bucket is the shared ().  Insert,
@@ -29,7 +29,6 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     batch_apply_bits,
-    byte_apply_tables,
     sample_uniform_affine,
 )
 
@@ -108,7 +107,8 @@ class LinearHashTable:
 
     def _set_hash(self, T: LinearMap) -> None:
         self._hash = T
-        self._tables = byte_apply_tables(T)
+        # _bucket reads this alias of T.byte_tables, one attribute load fewer a key
+        self._tables = T.byte_tables
 
     def _bucket(self, kbits: int) -> int:
         """T(kbits) as the XOR of one table entry per key byte."""

@@ -40,6 +40,7 @@ from linbins.gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
+    SubspaceBasis,
     _rank_of_bits,
     _span,
     compose,
@@ -395,7 +396,7 @@ class TestRankRoute:
         for u in (1, 3, 6, 9):
             for d in range(u + 1):
                 S = self.linear_set(kind, u, d, rng)
-                assert ballsbins._linear_basis(S).dim == d
+                assert S.linear_basis.dim == d
                 # b = d - 1 < d, b = d, b = d + 1 > d, and both extremes
                 for b in sorted({1, max(1, d - 1), max(1, d), d + 1, u + 2}):
                     L = sample_uniform_linear(u, b, rng)
@@ -413,7 +414,7 @@ class TestRankRoute:
 
     def test_rows_past_full_rank_are_not_made(self):
         S = BallSet(5, None, "subspace", (1, 2, 4))
-        B = ballsbins._linear_basis(S)
+        B = S.linear_basis
 
         def rows():
             # T B is the identity after these three rows of T
@@ -427,15 +428,31 @@ class TestRankRoute:
     @pytest.mark.parametrize("kind,arg", [("subspace", 5), ("affine", 3), ("interval", 512)])
     def test_trials_match_counting(self, kind, arg):
         S = generate_set(kind, 12, arg, random.Random(90))
-        basis = ballsbins._linear_basis(S)
+        basis = S.linear_basis
         by_rank = ballsbins._trial_chunk((5, 12, 6, basis, 0, 60))
         by_count = ballsbins._trial_chunk((5, 12, 6, S.member_bits, 0, 60))
         assert by_rank == by_count
 
+    def test_basis_built_once_per_set(self, monkeypatch):
+        made = []
+
+        class CountedBasis(SubspaceBasis):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(ballsbins, "SubspaceBasis", CountedBasis)
+        S = generate_set("affine", 10, 6, random.Random(96))
+        rng = random.Random(97)
+        for _ in range(3):
+            T = sample_uniform_affine(10, 4, rng)
+            assert largest_bin(T, S) == bin_counts(T, S).max_count
+        assert len(made) == 1
+
     def test_basis_only_for_linear_sets(self):
         rng = random.Random(95)
         S = generate_set("interval", 5, 8)
-        assert ballsbins._linear_basis(S).basis_bits == (1, 2, 4)
+        assert S.linear_basis.basis_bits == (1, 2, 4)
         assert S.basis_bits is None and "dim=" not in S.descriptor
         for S in (
             generate_set("interval", 5, 12),
@@ -443,7 +460,7 @@ class TestRankRoute:
             generate_set("cluster", 5, 8, rng),
             BallSet(5, (1, 2, 3, 4), "interval"),   # labelled interval, not [0, 4)
         ):
-            assert ballsbins._linear_basis(S) is None
+            assert S.linear_basis is None
 
     @pytest.mark.parametrize("args", [
         (3, (0, 1, 2, 3), "subspace", (1,)),         # 4 members, a 1-dim basis

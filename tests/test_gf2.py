@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linbins import gf2
 from linbins.ballsbins import BATCH_MIN
 from linbins.gf2 import (
     BytePlanes,
@@ -32,6 +33,7 @@ from linbins.gf2 import (
     sample_uniform_linear,
     zero_map,
 )
+from linbins.hashtable import LinearHashTable
 
 
 def naive_apply(T: LinearMap, x: GF2Vector) -> GF2Vector:
@@ -220,6 +222,41 @@ class TestBatchApply:
         T = sample_uniform_linear(9, 3, random.Random(14))
         with pytest.raises(ValueError):
             batch_apply_bits(T, BytePlanes.from_bits([1, 2, 3], 8))
+
+
+class TestOneTableBuildPerMap:
+    """A map builds its byte tables once, and every reader shares that build."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The maps passed to gf2.byte_apply_tables, one entry per build."""
+        seen = []
+        build = gf2.byte_apply_tables
+        monkeypatch.setattr(gf2, "byte_apply_tables", lambda T: seen.append(T) or build(T))
+        return seen
+
+    def test_batch_calls_share_one_build(self, builds):
+        T = sample_uniform_affine(20, 12, random.Random(15))
+        xs = list(range(0, 1 << 20, 3001))
+        planes = BytePlanes.from_bits(xs, 20)
+        first = batch_apply_bits(T, planes)
+        assert batch_apply_bits(T, planes) == first == [T.apply_bits(x) for x in xs]
+        assert builds == [T]
+
+    def test_cached_tables_leave_equality_and_hash(self, builds):
+        T = sample_uniform_affine(12, 9, random.Random(16))
+        assert T.byte_tables is T.byte_tables
+        fresh = LinearMap(T.in_dim, T.out_dim, T.row_bits, T.translation_bits)
+        assert T == fresh and hash(T) == hash(fresh)
+        assert len(builds) == 1
+
+    def test_table_grown_k_times_builds_k_plus_one(self, builds):
+        t = LinearHashTable(16, 1, random.Random(17))
+        for i in range(200):
+            t.insert(GF2Vector(16, i), i)
+        t.audit()
+        assert t.stats().resizes == 7
+        assert len(builds) == 8 and builds[-1] is t.hash_map
 
 
 # ---------------------------------------------------------------------------

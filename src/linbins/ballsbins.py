@@ -36,6 +36,7 @@ from .gf2 import (
     _rref_bits,
     _section_columns,
     _span,
+    _trusted,
     _xor_select,
     all_matrices,
     batch_apply_bits,
@@ -225,11 +226,13 @@ class BallSet:
         in basis_bits, or the descriptor would print a dimension.
         """
         u, n = self.universe_dim, self.size
+        # a linear set's basis was ranked when the set was made
         if self.kind in LINEAR_KINDS:
-            return SubspaceBasis(u, self.basis_bits)
+            return _trusted(SubspaceBasis, ambient_dim=u, basis_bits=self.basis_bits)
         # distinct non-negative members with maximum n - 1 are exactly 0..n-1
         if self.kind == "interval" and not n & (n - 1) and max(self.member_bits) == n - 1:
-            return SubspaceBasis(u, tuple(1 << i for i in range(n.bit_length() - 1)))
+            unit = tuple(1 << i for i in range(n.bit_length() - 1))
+            return _trusted(SubspaceBasis, ambient_dim=u, basis_bits=unit)
         return None
 
     @property
@@ -281,10 +284,18 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
 
 
 def _sample_independent(universe_dim: int, dim: int, rng: random.Random) -> list[int]:
+    """dim linearly independent uniform draws; a draw in the span of those
+    kept is dropped.  Each draw is reduced against an echelon of the kept
+    vectors, which grows by the reduced draw when that is nonzero."""
     vecs: list[int] = []
+    echelon: list[tuple[int, int]] = []  # (reduced vector, its lowest set bit)
     while len(vecs) < dim:
-        c = rng.getrandbits(universe_dim)
-        if _rank_of_bits(vecs + [c]) == len(vecs) + 1:
+        c = r = rng.getrandbits(universe_dim)
+        for p, low in echelon:
+            if r & low:
+                r ^= p
+        if r:
+            echelon.append((r, r & -r))
             vecs.append(c)
     return vecs
 
@@ -313,16 +324,21 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
     if kind != "interval" and rng is None:
         raise ValueError(f"set kind {kind!r} requires an rng")
 
+    # Every kind's members are distinct and in range by construction, so the
+    # set skips BallSet's checks.
     if kind == "interval":
-        return BallSet(universe_dim, tuple(range(size)), kind)
+        return _trusted(BallSet, universe_dim=universe_dim, listed_bits=tuple(range(size)),
+                        kind=kind)
 
     if kind == "random":
-        return BallSet(universe_dim, tuple(_sample_distinct(universe_dim, size, rng)), kind)
+        members = tuple(_sample_distinct(universe_dim, size, rng))
+        return _trusted(BallSet, universe_dim=universe_dim, listed_bits=members, kind=kind)
 
     if kind in LINEAR_KINDS:
         basis_bits = tuple(_sample_independent(universe_dim, dim, rng))
         shift_bits = rng.getrandbits(universe_dim) if kind == "affine" else None
-        return BallSet(universe_dim, None, kind, basis_bits, shift_bits)
+        return _trusted(BallSet, universe_dim=universe_dim, listed_bits=None, kind=kind,
+                        basis_bits=basis_bits, shift_bits=shift_bits)
 
     # cluster: a low-dimensional core subspace plus random distinct noise
     core_dim = min(universe_dim, max(0, (size.bit_length() - 1) // 2))
@@ -331,7 +347,8 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
     basis_bits = tuple(_sample_independent(universe_dim, core_dim, rng))
     span = _span(basis_bits)
     noise = _sample_distinct(universe_dim, size - len(span), rng, frozenset(span))
-    return BallSet(universe_dim, tuple(span + noise), kind, basis_bits)
+    return _trusted(BallSet, universe_dim=universe_dim, listed_bits=tuple(span + noise),
+                    kind=kind, basis_bits=basis_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +381,9 @@ def _balls(S: BallSet) -> BytePlanes | tuple[int, ...]:
     return S.planes if S.size >= BATCH_MIN else S.member_bits
 
 
-def _images(T: LinearMap, balls: BytePlanes | Sequence[int]) -> list[int]:
+def _images(T: LinearMap, balls: BytePlanes | Sequence[int]) -> Sequence[int]:
+    """T's packed image of every ball, in ball order: the batch kernel's words
+    on byte planes, a list of scalar applies on packed members."""
     if isinstance(balls, BytePlanes):
         return batch_apply_bits(T, balls)
     return [T.apply_bits(x) for x in balls]
@@ -474,7 +493,8 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     p_rows = [1 << c for c in range(f) if c not in pivots] + list(T1.row_bits)
     q_rows = tuple(_xor_select(T0.row_bits, row) for row in p_rows)
     t = T0.translation_bits
-    Q = LinearMap(T0.in_dim, f, q_rows, t and _apply_rows(p_rows, t))
+    Q = _trusted(LinearMap, in_dim=T0.in_dim, out_dim=f, row_bits=q_rows,
+                 translation_bits=t and _apply_rows(p_rows, t))
     covered = bytearray(1 << f)
     for img in _images(Q, _balls(S)):
         covered[img] = 1

@@ -57,6 +57,7 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
+    _trusted,
     all_matrices,
     compose,
     count_factorizations,
@@ -387,9 +388,11 @@ def _check_factorization_count(dims):
     mismatches = 0
     cases = 0
     for u, f, b in dims:
-        outer = (LinearMap(f, b, rows) for rows in all_matrices(f, b))
+        outer = (_trusted(LinearMap, in_dim=f, out_dim=b, row_bits=rows)
+                 for rows in all_matrices(f, b))
         surjective = [T1 for T1 in outer if is_surjective(T1)]
-        for T in (LinearMap(u, b, rows) for rows in all_matrices(u, b)):
+        for T in (_trusted(LinearMap, in_dim=u, out_dim=b, row_bits=rows)
+                  for rows in all_matrices(u, b)):
             want = 1 << ((f - b) * (u - rank(T)))
             for T1 in surjective:
                 cases += 1

@@ -13,7 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 
 class SizeGuardError(ValueError):
@@ -29,6 +29,21 @@ def _check_guard(bits: int, what: str) -> None:
         raise SizeGuardError(
             f"{what} would enumerate 2^{bits} objects (guard is 2^{SIZE_GUARD_BITS})"
         )
+
+
+_V = TypeVar("_V")
+
+
+def _trusted(cls: type[_V], **values: object) -> _V:
+    """cls(**values) for a frozen dataclass, built without running __post_init__.
+
+    Only for fields the library made valid by construction: the result is
+    equal, and hashes equal, to what the validating constructor returns.
+    Fields left out read their class-level defaults.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -332,8 +347,8 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
     if not (outer.is_linear and inner.is_linear):
         raise ValueError("compose requires linear maps (no translation)")
     inner_rows = inner.row_bits
-    rows = [_xor_select(inner_rows, orow) for orow in outer.row_bits]
-    return LinearMap.from_row_bits(inner.in_dim, rows)
+    rows = tuple([_xor_select(inner_rows, orow) for orow in outer.row_bits])
+    return _trusted(LinearMap, in_dim=inner.in_dim, out_dim=outer.out_dim, row_bits=rows)
 
 
 def rank(T: LinearMap) -> int:
@@ -354,13 +369,13 @@ def kernel_basis(T: LinearMap) -> SubspaceBasis:
             if (rref[r] >> free) & 1:
                 v |= 1 << pc
         basis.append(v)
-    return SubspaceBasis(T.in_dim, tuple(basis))
+    return _trusted(SubspaceBasis, ambient_dim=T.in_dim, basis_bits=tuple(basis))
 
 
 def image_basis(T: LinearMap) -> SubspaceBasis:
     """Basis of the column span; length is rank(T)."""
     reduced, _ = _rref_bits(T.column_bits, T.out_dim)
-    return SubspaceBasis(T.out_dim, tuple(reduced))
+    return _trusted(SubspaceBasis, ambient_dim=T.out_dim, basis_bits=tuple(reduced))
 
 
 def is_surjective(T: LinearMap) -> bool:
@@ -376,7 +391,8 @@ def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
     """
     n = sub.ambient_dim
     _, pivots = _rref_bits(sub.basis_bits, n)
-    return SubspaceBasis(n, tuple(1 << i for i in range(n) if i not in pivots))
+    unit = tuple(1 << i for i in range(n) if i not in pivots)
+    return _trusted(SubspaceBasis, ambient_dim=n, basis_bits=unit)
 
 
 def _section_columns(T1: LinearMap) -> list[int]:
@@ -411,7 +427,7 @@ def byte_apply_tables(T: LinearMap) -> list[list[int]]:
 
 
 _WORD_MASK = (1 << 64) - 1
-# memoryview formats for an output word of 1, 2, 4 or 8 bytes
+# array typecodes for an output word of 1, 2, 4 or 8 bytes
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -447,7 +463,7 @@ class BytePlanes:
         return len(self.planes[0])
 
 
-def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
+def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> Sequence[int]:
     """Apply T to many packed inputs with bytes.translate over their byte planes.
 
     For input plane j and output byte c, "byte of x -> byte c of its
@@ -455,10 +471,12 @@ def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
     (a partial last input byte's 2^k entries are repeated to 256 first).
     Byte c of every image is then the XOR over j of plane_j.translate(cut_jc),
     done as one XOR of big ints, so every loop runs in C.  The output bytes
-    are interleaved into words of 1, 2, 4 or 8 bytes and read back as ints;
-    maps wider than 64 output bits run 64 bits at a time and are OR-ed
-    together at their shifts.  Agrees bit for bit with apply_bits; callers
-    use it from BATCH_MIN inputs up.
+    are interleaved into machine words of 1, 2, 4 or 8 bytes, and up to 64
+    output bits the result is that array of words, so no int object is made
+    until a caller reads one.  Maps wider than 64 output bits run 64 bits at
+    a time, and their words are OR-ed into a list of ints at their shifts.
+    Agrees bit for bit with apply_bits; callers use it from BATCH_MIN inputs
+    up.
     """
     tables = T.byte_tables
     planes = xs.planes
@@ -466,7 +484,7 @@ def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
         raise ValueError(f"map takes {T.in_dim} bits, inputs have {len(planes)} byte planes")
     cuts = [BytePlanes.from_bits(t * (256 // len(t)), T.out_dim).planes for t in tables]
     n = len(xs)
-    out: list[int] = []
+    out: Sequence[int] = []
     for base in range(0, T.out_dim, 64):
         nbytes = -(-min(64, T.out_dim - base) // 8)
         stride = 1 << (nbytes - 1).bit_length()
@@ -478,7 +496,7 @@ def batch_apply_bits(T: LinearMap, xs: BytePlanes) -> list[int]:
             # the word's low byte comes first in memory on a little-endian host
             at = c if sys.byteorder == "little" else stride - 1 - c
             buf[at::stride] = acc.to_bytes(n, "little")
-        words = memoryview(buf).cast(_WORD_FORMATS[stride]).tolist()
+        words = array(_WORD_FORMATS[stride], buf)
         out = [y | z << base for y, z in zip(out, words)] if base else words
     return out
 
@@ -499,15 +517,15 @@ def sample_uniform_linear(in_dim: int, out_dim: int, rng: random.Random) -> Line
     """Uniform over all 2^(in_dim*out_dim) matrices: every bit an independent coin."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError("map dimensions must be >= 1")
-    return LinearMap(
-        in_dim, out_dim, tuple([rng.getrandbits(in_dim) for _ in range(out_dim)])
-    )
+    rows = tuple([rng.getrandbits(in_dim) for _ in range(out_dim)])
+    return _trusted(LinearMap, in_dim=in_dim, out_dim=out_dim, row_bits=rows)
 
 
 def sample_uniform_affine(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:
     """Uniform matrix plus an independent uniform translation vector."""
     base = sample_uniform_linear(in_dim, out_dim, rng)
-    return LinearMap(in_dim, out_dim, base.row_bits, rng.getrandbits(out_dim))
+    return _trusted(LinearMap, in_dim=in_dim, out_dim=out_dim, row_bits=base.row_bits,
+                    translation_bits=rng.getrandbits(out_dim))
 
 
 def sample_surjective(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:
@@ -568,7 +586,7 @@ def sample_factor_t0(T: LinearMap, T1: LinearMap, rng: random.Random) -> LinearM
     t0_cols = [_xor_select(section, col) for col in T.column_bits]
     for k, j in enumerate(free):
         t0_cols[j] ^= _xor_select(ker1_bits, _apply_rows(m_rows, 1 << k))
-    return LinearMap.from_column_bits(u, f, t0_cols)
+    return _trusted(LinearMap, in_dim=u, out_dim=f, row_bits=tuple(_transpose(t0_cols, f)))
 
 
 def _iter_factor_rows(T: LinearMap, T1: LinearMap):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linbins import ballsbins
+from linbins import ballsbins, gf2
 from linbins.ballsbins import (
     BATCH_MIN,
     BallSet,
@@ -197,6 +197,23 @@ class TestGenerateSet:
                 rng, ref = random.Random(u * 1000 + size), random.Random(u * 1000 + size)
                 assert ballsbins._sample_distinct(u, size, rng, exclude) == \
                     self.sequential_draw(u, size, ref, exclude)
+                assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("u", (1, 2, 3, 8, 24, 64))
+    def test_independent_draw_matches_reranking_loop(self, u):
+        # the old loop re-ranked every kept vector plus the candidate
+        def reranking_draw(u, dim, rng):
+            vecs = []
+            while len(vecs) < dim:
+                c = rng.getrandbits(u)
+                if _rank_of_bits(vecs + [c]) == len(vecs) + 1:
+                    vecs.append(c)
+            return vecs
+
+        for dim in sorted({0, 1, u // 2, u - 1, u}):
+            for seed in range(3):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert ballsbins._sample_independent(u, dim, rng) == reranking_draw(u, dim, ref)
                 assert rng.getstate() == ref.getstate()
 
     def test_subspace_is_a_span(self):
@@ -441,7 +458,15 @@ class TestRankRoute:
                 made.append(self)
                 super().__post_init__()
 
+        def trusted(cls, **values):
+            # a basis built without checks runs no __post_init__; count it here
+            value = gf2._trusted(cls, **values)
+            if cls is CountedBasis:
+                made.append(value)
+            return value
+
         monkeypatch.setattr(ballsbins, "SubspaceBasis", CountedBasis)
+        monkeypatch.setattr(ballsbins, "_trusted", trusted)
         S = generate_set("affine", 10, 6, random.Random(96))
         rng = random.Random(97)
         for _ in range(3):

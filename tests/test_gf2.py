@@ -1,6 +1,7 @@
 """Tests for the bit-packed GF(2) linear algebra core."""
 
 import random
+from array import array
 from itertools import product
 
 import pytest
@@ -166,19 +167,19 @@ class TestBatchApply:
         for u, b in [(3, 2), (8, 4), (9, 5), (16, 7), (21, 3)]:
             T = sample_uniform_linear(u, b, rng)
             xs = [rng.getrandbits(u) for _ in range(200)]
-            assert batch_apply_bits(T, BytePlanes.from_bits(xs, u)) == [T.apply_bits(x) for x in xs]
+            assert list(batch_apply_bits(T, BytePlanes.from_bits(xs, u))) == [T.apply_bits(x) for x in xs]
 
     def test_matches_exhaustively_small(self):
         rng = random.Random(12)
         for u in range(1, 9):
             T = sample_uniform_linear(u, 4, rng)
             xs = list(range(1 << u))
-            assert batch_apply_bits(T, BytePlanes.from_bits(xs, u)) == [T.apply_bits(x) for x in xs]
+            assert list(batch_apply_bits(T, BytePlanes.from_bits(xs, u))) == [T.apply_bits(x) for x in xs]
 
     def test_affine_batch(self):
         T = sample_uniform_affine(10, 6, random.Random(13))
         xs = list(range(0, 1 << 10, 7))
-        assert batch_apply_bits(T, BytePlanes.from_bits(xs, 10)) == [T.apply_bits(x) for x in xs]
+        assert list(batch_apply_bits(T, BytePlanes.from_bits(xs, 10))) == [T.apply_bits(x) for x in xs]
 
     @pytest.mark.parametrize("u", range(1, 65))
     def test_planes_match_apply_bits_every_width(self, u):
@@ -189,7 +190,7 @@ class TestBatchApply:
         assert len(planes.planes) == -(-u // 8)
         for sample in (sample_uniform_linear, sample_uniform_affine):
             T = sample(u, rng.randint(1, 20), rng)
-            assert batch_apply_bits(T, planes) == [T.apply_bits(x) for x in xs]
+            assert list(batch_apply_bits(T, planes)) == [T.apply_bits(x) for x in xs]
 
     # widths on both sides of every byte and 64-bit word boundary
     KERNEL_WIDTHS = (1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 130)
@@ -203,7 +204,7 @@ class TestBatchApply:
             for b in self.KERNEL_WIDTHS:
                 for sample in (sample_uniform_linear, sample_uniform_affine):
                     T = sample(u, b, rng)
-                    assert batch_apply_bits(T, planes) == [T.apply_bits(x) for x in xs], (n, b)
+                    assert list(batch_apply_bits(T, planes)) == [T.apply_bits(x) for x in xs], (n, b)
 
     @pytest.mark.parametrize("u", (1, 5, 7, 8, 9, 17, 63, 64, 65, 100, 128, 130))
     def test_planes_match_per_plane_construction(self, u):
@@ -223,6 +224,18 @@ class TestBatchApply:
         with pytest.raises(ValueError):
             batch_apply_bits(T, BytePlanes.from_bits([1, 2, 3], 8))
 
+    @pytest.mark.parametrize("b", range(1, 81))
+    def test_result_is_machine_words_up_to_64_bits(self, b):
+        T = sample_uniform_affine(12, b, random.Random(4000 + b))
+        xs = list(range(0, 1 << 12, 11))
+        images = batch_apply_bits(T, BytePlanes.from_bits(xs, 12))
+        if b <= 64:
+            stride = 1 << (-(-b // 8) - 1).bit_length()
+            assert isinstance(images, array) and images.itemsize == stride
+        else:
+            assert type(images) is list
+        assert list(images) == [T.apply_bits(x) for x in xs]
+
 
 class TestOneTableBuildPerMap:
     """A map builds its byte tables once, and every reader shares that build."""
@@ -239,8 +252,8 @@ class TestOneTableBuildPerMap:
         T = sample_uniform_affine(20, 12, random.Random(15))
         xs = list(range(0, 1 << 20, 3001))
         planes = BytePlanes.from_bits(xs, 20)
-        first = batch_apply_bits(T, planes)
-        assert batch_apply_bits(T, planes) == first == [T.apply_bits(x) for x in xs]
+        first = list(batch_apply_bits(T, planes))
+        assert list(batch_apply_bits(T, planes)) == first == [T.apply_bits(x) for x in xs]
         assert builds == [T]
 
     def test_cached_tables_leave_equality_and_hash(self, builds):

@@ -16,12 +16,11 @@ import random
 import sys
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice, repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .gf2 import (
     SIZE_GUARD_BITS,
@@ -37,6 +36,7 @@ from .gf2 import (
     _section_columns,
     _span,
     _trusted,
+    _word_format,
     _xor_select,
     all_matrices,
     batch_apply_bits,
@@ -134,22 +134,30 @@ def chi_square_sf(stat: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _packed(xs: Iterable[int], universe_dim: int) -> Sequence[int]:
+    """xs in one array of the smallest machine word that holds universe_dim
+    bits, or in a tuple of ints above 64 bits."""
+    return array(_word_format(universe_dim), xs) if universe_dim <= 64 else tuple(xs)
+
+
 @dataclass(frozen=True)
 class BallSet:
     """A set of distinct packed u-bit vectors plus provenance for outputs.
 
     A subspace or affine set is its basis: basis_bits spans it and shift_bits
     is an affine set's coset offset (0 when omitted).  Other kinds list their
-    members in listed_bits; a cluster's basis_bits spans its core.
-    `member_bits` is the listed tuple itself, or shift ^ span(basis) in
-    subset-XOR order made on first use under the size guard.  `members`,
-    `basis` and `shift` are GF2Vector views of the packed fields; `planes`
-    holds the members as byte planes for the batch kernel, and `linear_basis`
-    the basis the rank route reads, each built on first use.
+    members in listed_bits, stored as `_packed` stores them whatever sequence
+    was passed, so equal members make equal sets; listed_bits is left out of
+    the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
+    listed members themselves, or shift ^ span(basis) in subset-XOR order
+    made on first use under the size guard.  `members`, `basis` and `shift`
+    are GF2Vector views of the packed fields; `planes` holds the members as
+    byte planes for the batch kernel, and `linear_basis` the basis the rank
+    route reads, each built on first use.
     """
 
     universe_dim: int
-    listed_bits: tuple[int, ...] | None
+    listed_bits: Sequence[int] | None = field(hash=False)
     kind: str
     basis_bits: tuple[int, ...] | None = None
     shift_bits: int | None = None
@@ -176,6 +184,7 @@ class BallSet:
             raise ValueError(f"member out of range for universe dim {u}")
         if len(set(bits)) != len(bits):
             raise ValueError("ball set members must be distinct")
+        object.__setattr__(self, "listed_bits", _packed(bits, u))
 
     @classmethod
     def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],
@@ -186,7 +195,7 @@ class BallSet:
         return cls(universe_dim, tuple(v.bits for v in members), kind)
 
     @cached_property
-    def member_bits(self) -> tuple[int, ...]:
+    def member_bits(self) -> Sequence[int]:
         if self.kind not in LINEAR_KINDS:
             return self.listed_bits
         _check_guard(len(self.basis_bits), "subspace enumeration")
@@ -215,7 +224,10 @@ class BallSet:
 
     @cached_property
     def planes(self) -> BytePlanes:
-        return BytePlanes.from_bits(self.member_bits, self.universe_dim)
+        bits = self.member_bits
+        if isinstance(bits, array):
+            return BytePlanes.from_words(bits, self.universe_dim)
+        return BytePlanes.from_bits(bits, self.universe_dim)
 
     @cached_property
     def linear_basis(self) -> SubspaceBasis | None:
@@ -244,7 +256,9 @@ class BallSet:
 
 
 def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
-                     exclude: frozenset[int] = frozenset()) -> list[int]:
+                     exclude: frozenset[int] = frozenset()) -> Sequence[int]:
+    """size distinct uniform u-bit vectors outside exclude, in first-drawn
+    order, packed as `_packed` packs them."""
     space = 1 << universe_dim
     if size + len(exclude) > space:
         raise ValueError(f"cannot pick {size} distinct vectors beyond {len(exclude)} "
@@ -252,7 +266,7 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
     # Dense requests in a small universe would make rejection crawl.
     if universe_dim <= 22 and 2 * (size + len(exclude)) >= space:
         pool = [x for x in range(space) if x not in exclude] if exclude else range(space)
-        return rng.sample(pool, size)
+        return _packed(rng.sample(pool, size), universe_dim)
     if universe_dim <= 32:
         # Here getrandbits(u) is one 32-bit word shifted right by 32 - u, and
         # getrandbits(32 k) is the next k words, least significant first.  So
@@ -262,17 +276,37 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
         # the whole draw, and a mask of u low bits per 32-bit lane drops what
         # the next word shifted in.
         lane = ((1 << universe_dim) - 1).to_bytes(4, "little")
+
+        def draw(k: int) -> array:
+            bits = rng.getrandbits(32 * k) >> (32 - universe_dim)
+            bits &= int.from_bytes(lane * k, "little")
+            words = array("I", bits.to_bytes(4 * k, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            return words
+
+        # One byte per vector of the universe marks what was drawn when that
+        # is at most 32 bytes a member (2^u <= 32 size), far less than a dict,
+        # which holds ~130 bytes a member with its int keys.  At u = 32 the
+        # map fits only from 2^27 members on, so there the dict deduplicates.
+        if space <= 32 * size:
+            seen = bytearray(space)
+            for x in exclude:
+                seen[x] = 1
+            out = _packed((), universe_dim)
+            append = out.append
+            while len(out) < size:
+                for w in draw(size - len(out)):
+                    if not seen[w]:
+                        seen[w] = 1
+                        append(w)
+            return out
         chosen = dict.fromkeys(exclude)
         wanted = size + len(exclude)
         while len(chosen) < wanted:
-            k = wanted - len(chosen)
-            draw = rng.getrandbits(32 * k) >> (32 - universe_dim)
-            draw &= int.from_bytes(lane * k, "little")
-            words = array("I", draw.to_bytes(4 * k, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
+            words = draw(wanted - len(chosen))
             chosen.update(zip(words, repeat(None)))  # no second dict at the peak
-        return list(islice(chosen, len(exclude), None))
+        return _packed(islice(chosen, len(exclude), None), universe_dim)
     out: list[int] = []
     seen = set(exclude)
     while len(out) < size:
@@ -280,7 +314,7 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
         if c not in seen:
             seen.add(c)
             out.append(c)
-    return out
+    return _packed(out, universe_dim)
 
 
 def _sample_independent(universe_dim: int, dim: int, rng: random.Random) -> list[int]:
@@ -327,11 +361,11 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
     # Every kind's members are distinct and in range by construction, so the
     # set skips BallSet's checks.
     if kind == "interval":
-        return _trusted(BallSet, universe_dim=universe_dim, listed_bits=tuple(range(size)),
-                        kind=kind)
+        return _trusted(BallSet, universe_dim=universe_dim,
+                        listed_bits=_packed(range(size), universe_dim), kind=kind)
 
     if kind == "random":
-        members = tuple(_sample_distinct(universe_dim, size, rng))
+        members = _sample_distinct(universe_dim, size, rng)
         return _trusted(BallSet, universe_dim=universe_dim, listed_bits=members, kind=kind)
 
     if kind in LINEAR_KINDS:
@@ -347,8 +381,9 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
     basis_bits = tuple(_sample_independent(universe_dim, core_dim, rng))
     span = _span(basis_bits)
     noise = _sample_distinct(universe_dim, size - len(span), rng, frozenset(span))
-    return _trusted(BallSet, universe_dim=universe_dim, listed_bits=tuple(span + noise),
-                    kind=kind, basis_bits=basis_bits)
+    return _trusted(BallSet, universe_dim=universe_dim,
+                    listed_bits=_packed(span, universe_dim) + noise, kind=kind,
+                    basis_bits=basis_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +410,7 @@ class BinHistogram:
         return self.counts.get(label, 0)
 
 
-def _balls(S: BallSet) -> BytePlanes | tuple[int, ...]:
+def _balls(S: BallSet) -> BytePlanes | Sequence[int]:
     """What an apply pass over S reads: its byte planes, or its packed members
     when S is too small for the batch kernel."""
     return S.planes if S.size >= BATCH_MIN else S.member_bits
@@ -403,7 +438,7 @@ def _largest_load(images: Sequence[int], bin_dim: int) -> int:
     return max(counts)
 
 
-def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | tuple[int, ...]:
+def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | Sequence[int]:
     """What a largest-bin measurement over S reads: its basis when it has one,
     else what an apply pass reads."""
     basis = S.linear_basis
@@ -704,6 +739,9 @@ def estimate_tail(config: ExperimentConfig, jobs: int = 1) -> TrialSummary:
             base + (start, min(start + chunk, config.trials))
             for start in range(0, config.trials, chunk)
         ]
+        # imported here, so that a serial run never loads the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(_trial_chunk, tasks) for v in part]
     return summarize_trials(config, S, values)

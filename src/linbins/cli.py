@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -571,13 +572,16 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once a process: parsing leaves it unchanged."""
     parser = _Parser(prog="linbins", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, emits_rows=True):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"master seed (default: ${SEED_ENV_VAR}, else {DEFAULT_SEED})")
         if emits_rows:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
             sp.add_argument("--out", default=None)
@@ -688,6 +692,11 @@ def parse_args(argv=None) -> argparse.Namespace:
         at = argv.index(args.subcommand) + 1
         # Config flags go first, so that explicit flags override them.
         args = parser.parse_args(argv[:at] + _config_argv(actions, args.config) + argv[at:])
+    # Read on every call; a malformed value is refused even when a flag or
+    # the config file sets the seed.
+    env_seed = _default_seed()
+    if args.seed is None:
+        args.seed = env_seed
     return args
 
 

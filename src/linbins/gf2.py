@@ -431,6 +431,11 @@ _WORD_MASK = (1 << 64) - 1
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _word_format(width: int) -> str:
+    """Typecode of the smallest machine word that holds width <= 64 bits."""
+    return _WORD_FORMATS[1 << ((width - 1) // 8).bit_length()]
+
+
 @dataclass(frozen=True)
 class BytePlanes:
     """Packed inputs split by byte: planes[c][i] is byte c of input i.
@@ -443,21 +448,28 @@ class BytePlanes:
     planes: tuple[bytes, ...]
 
     @classmethod
-    def from_bits(cls, xs: Sequence[int], width: int) -> "BytePlanes":
-        """Planes of packed inputs, sliced from the raw bytes of 64-bit words.
+    def from_words(cls, words: array, width: int) -> "BytePlanes":
+        """Planes of inputs held in an array of machine words of >= width bits.
 
-        Each group of 64 input bits becomes one array("Q") whose little-endian
-        bytes hold byte c of every input at c, c + 8, ...; so plane c is one
-        strided slice, and no per-input object is made.
+        The words' little-endian bytes hold byte c of every input at c,
+        c + itemsize, ...; so plane c is one strided slice, and no per-input
+        object is made.
         """
-        planes = []
+        if sys.byteorder == "big":
+            words = words[:]
+            words.byteswap()
+        raw, step = words.tobytes(), words.itemsize
+        return cls(tuple(raw[c::step] for c in range(-(-width // 8))))
+
+    @classmethod
+    def from_bits(cls, xs: Sequence[int], width: int) -> "BytePlanes":
+        """Planes of packed inputs: each group of 64 input bits goes into one
+        array("Q"), which `from_words` slices."""
+        planes: tuple[bytes, ...] = ()
         for base in range(0, width, 64):
             words = array("Q", xs if width <= 64 else [(x >> base) & _WORD_MASK for x in xs])
-            if sys.byteorder == "big":
-                words.byteswap()
-            raw = words.tobytes()
-            planes += [raw[c::8] for c in range(min(8, -(-(width - base) // 8)))]
-        return cls(tuple(planes))
+            planes += cls.from_words(words, min(64, width - base)).planes
+        return cls(planes)
 
     def __len__(self) -> int:
         return len(self.planes[0])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -168,7 +169,7 @@ class TestGenerateSet:
         space = 1 << u
         for size in range(-(-space // 2), space + 1):
             rng, ref = random.Random(size), random.Random(size)
-            assert ballsbins._sample_distinct(u, size, rng) == ref.sample(
+            assert list(ballsbins._sample_distinct(u, size, rng)) == ref.sample(
                 [x for x in range(space)], size)
             assert rng.getstate() == ref.getstate()
 
@@ -187,17 +188,35 @@ class TestGenerateSet:
                 out.append(c)
         return out
 
-    @pytest.mark.parametrize("u", (1, 2, 5, 8, 17, 24, 31, 32))
+    @pytest.mark.parametrize("u", range(1, 33))
     def test_batched_draw_matches_sequential(self, u):
         space = 1 << u
-        for size in (1, 2, 3, 7, 40, 700):
+        # the draw marks a byte map from 2^u <= 32 x size on, and a dict below
+        at_map = -(-space // 32)
+        rule = (at_map - 1, at_map) if at_map <= 1 << 15 else ()
+        for size in (1, 2, 3, 7, 40, 700) + rule:
             for exclude in (frozenset(), frozenset(range(1, min(space, 9), 2))):
-                if size + len(exclude) > space:
+                if not 1 <= size <= space - len(exclude):
                     continue
                 rng, ref = random.Random(u * 1000 + size), random.Random(u * 1000 + size)
-                assert ballsbins._sample_distinct(u, size, rng, exclude) == \
-                    self.sequential_draw(u, size, ref, exclude)
+                drawn = ballsbins._sample_distinct(u, size, rng, exclude)
+                assert list(drawn) == self.sequential_draw(u, size, ref, exclude)
                 assert rng.getstate() == ref.getstate()
+                assert drawn.typecode == gf2._word_format(u)
+
+    def test_random_draw_holds_a_word_a_member(self):
+        # 2^20 bytes of map, 4-byte words: a dict of int keys would peak at
+        # ~80 bytes a member and a tuple hold ~36
+        n = 1 << 18
+        rng = random.Random(3)
+        tracemalloc.start()
+        try:
+            S = generate_set("random", 20, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 20) + 6 * 4 * n
+        assert S.listed_bits.itemsize == 4 and len(S.listed_bits) == n
 
     @pytest.mark.parametrize("u", (1, 2, 3, 8, 24, 64))
     def test_independent_draw_matches_reranking_loop(self, u):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -146,7 +147,7 @@ class TestSimulate:
                 self.tasks = list(tasks)
                 return map(fn, self.tasks)
 
-        monkeypatch.setattr(ballsbins, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: cpus)
         argv = BATCH_ARGS + ["--trials", "10"]
         _, serial = run_to_file(tmp_path, "serial.csv", argv)
@@ -183,7 +184,7 @@ class TestSimulate:
                 tasks.extend(chunk_tasks)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ballsbins, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 4)
         argv = ["simulate", "--u", "12", "--b", "4", "--set", "subspace", "--set-dim", "5",
                 "--thresholds", "4,8", "--seed", "5", "--trials", "20"]
@@ -482,6 +483,17 @@ class TestSeedEnvVar:
         monkeypatch.setenv("LINBINS_SEED", "99")
         _, text = run_to_file(tmp_path, "sim.csv", SIM_ARGS)
         assert manifest_of(text)["master_seed"] == 7
+
+    def test_each_run_reads_the_env(self, tmp_path, monkeypatch):
+        # one parser serves every run in a process; the seed is resolved per run
+        argv = ["simulate", "--u", "2", "--b", "1", "--set", "interval",
+                "--set-size", "4", "--trials", "2"]
+        for seed in ("99", "5"):
+            monkeypatch.setenv("LINBINS_SEED", seed)
+            _, text = run_to_file(tmp_path, f"sim-{seed}.csv", argv)
+            assert manifest_of(text)["master_seed"] == int(seed)
+            trials = [row.split(",") for row in data_rows(text) if row.startswith("simulate,")]
+            assert len(trials) == 2 and all(row[7] == seed for row in trials)
 
     def test_bad_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("LINBINS_SEED", "not-a-number")

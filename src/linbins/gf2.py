@@ -46,7 +46,7 @@ def _trusted(cls: type[_V], **values: object) -> _V:
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GF2Vector:
     """A dim-bit vector over GF(2), packed into an int (bit i = coordinate i)."""
 

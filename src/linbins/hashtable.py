@@ -2,12 +2,14 @@
 
 The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
-the uniform-map guarantee on bin sizes is restored after every resize.
-Buckets are computed from the map's per-byte lookup tables, which the map
-builds once and keeps (LinearMap.byte_tables); a grow rehashes all keys in
-one batch_apply_bits pass over their byte planes, which reads the same
-tables, appending the entries in their old order (bucket order, then chain
-order).  audit() re-checks every entry with the row-parity apply_bits.
+the uniform-map guarantee on bin sizes is restored after every resize.  The
+initial bucket count is held to 2^SIZE_GUARD_BITS; grows follow the key count.
+Every operation finds its key through one routine, _find, which XORs the
+map's per-byte table entries (LinearMap.byte_tables, built once per map) into
+the bucket and looks the key up among that chain's keys.  A grow rehashes all
+keys in one batch_apply_bits pass over their byte planes, which reads the
+same tables, appending the entries in their old order (bucket order, then
+chain order).  audit() re-checks every entry with the row-parity apply_bits.
 
 Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
 in insertion order, and every empty bucket is the shared ().  Insert,
@@ -25,24 +27,14 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .gf2 import (
+    SIZE_GUARD_BITS,
     BytePlanes,
     GF2Vector,
     LinearMap,
+    SizeGuardError,
     batch_apply_bits,
     sample_uniform_affine,
 )
-
-
-def _slot(chain: tuple, kbits: int) -> int:
-    """The slot of kbits among the chain's keys (even slots), or -1.
-
-    Only the keys are compared, so a value never has its __eq__ called.
-    """
-    if chain:
-        keys = chain[::2]
-        if kbits in keys:
-            return 2 * keys.index(kbits)
-    return -1
 
 
 @dataclass(frozen=True)
@@ -74,6 +66,10 @@ class LinearHashTable:
             hash_map.in_dim != key_bits or hash_map.out_dim != bucket_bits
         ):
             raise ValueError("supplied hash map does not match the bit widths")
+        if bucket_bits > SIZE_GUARD_BITS:
+            raise SizeGuardError(
+                f"a table of 2^{bucket_bits} buckets (guard is 2^{SIZE_GUARD_BITS})"
+            )
         self._key_bits = key_bits
         self._bucket_bits = bucket_bits
         self._rng = rng
@@ -101,22 +97,27 @@ class LinearHashTable:
     def __len__(self) -> int:
         return self._size
 
-    def _check_key(self, key: GF2Vector) -> None:
-        if key.dim != self._key_bits:
-            raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
-
     def _set_hash(self, T: LinearMap) -> None:
         self._hash = T
-        # _bucket reads this alias of T.byte_tables, one attribute load fewer a key
+        # _find reads this alias of T.byte_tables, one attribute load fewer a key
         self._tables = T.byte_tables
 
-    def _bucket(self, kbits: int) -> int:
-        """T(kbits) as the XOR of one table entry per key byte."""
-        acc = 0
+    def _find(self, key: GF2Vector) -> tuple[int, int, tuple, int]:
+        """(key bits, bucket, chain, the key's slot in the chain or -1).
+
+        Only the chain's keys (its even slots) are compared, so a value
+        never has its __eq__ called.
+        """
+        if key.dim != self._key_bits:
+            raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
+        kbits = rest = key.bits
+        b = 0
         for table in self._tables:
-            acc ^= table[kbits & 255]
-            kbits >>= 8
-        return acc
+            b ^= table[rest & 255]
+            rest >>= 8
+        chain = self._buckets[b]
+        keys = chain[::2]
+        return kbits, b, chain, 2 * keys.index(kbits) if kbits in keys else -1
 
     def insert(self, key: GF2Vector, value: Any) -> Any | None:
         """Store key -> value; returns the replaced value, if any.
@@ -124,53 +125,42 @@ class LinearHashTable:
         A new key that would push the load factor past 1 grows the table
         first.
         """
-        self._check_key(key)
-        kbits = key.bits
-        b = self._bucket(kbits)
-        chain = self._buckets[b]
-        i = _slot(chain, kbits)
+        kbits, b, chain, i = self._find(key)
         if i >= 0:
             self._buckets[b] = chain[: i + 1] + (value,) + chain[i + 2 :]
             return chain[i + 1]
         if self._size + 1 > len(self._buckets):
             self._grow()
-            b = self._bucket(kbits)
-            chain = self._buckets[b]
+            kbits, b, chain, i = self._find(key)
         self._buckets[b] = chain + (kbits, value)
         self._size += 1
         return None
 
-    def _probe(self, key: GF2Vector) -> tuple[int, int]:
-        """The key's bucket and its key slot there (-1 if absent), counting the probes."""
-        self._check_key(key)
-        kbits = key.bits
-        b = self._bucket(kbits)
-        chain = self._buckets[b]
-        i = _slot(chain, kbits)
+    def _probe(self, key: GF2Vector) -> tuple[int, tuple, int]:
+        """_find's bucket, chain and slot, counting the probes."""
+        _, b, chain, i = self._find(key)
         if i >= 0:
             self._hit_lookups += 1
             self._hit_probes += i // 2 + 1
         else:
             self._miss_lookups += 1
             self._miss_probes += len(chain) // 2
-        return b, i
+        return b, chain, i
 
     def get(self, key: GF2Vector) -> Any | None:
-        b, i = self._probe(key)
-        return self._buckets[b][i + 1] if i >= 0 else None
+        _, chain, i = self._probe(key)
+        return chain[i + 1] if i >= 0 else None
 
     def remove(self, key: GF2Vector) -> Any | None:
-        b, i = self._probe(key)
+        b, chain, i = self._probe(key)
         if i < 0:
             return None
-        chain = self._buckets[b]
         self._buckets[b] = chain[:i] + chain[i + 2 :]
         self._size -= 1
         return chain[i + 1]
 
     def __contains__(self, key: GF2Vector) -> bool:
-        self._check_key(key)
-        return _slot(self._buckets[self._bucket(key.bits)], key.bits) >= 0
+        return self._find(key)[3] >= 0
 
     def keys(self) -> Iterator[GF2Vector]:
         for chain in self._buckets:

@@ -1,11 +1,15 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
 import concurrent.futures
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from linbins import __version__, ballsbins
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
@@ -424,6 +428,15 @@ class TestTableBench:
         )
         assert int(resize_row.split(",")[8]) == 4  # 2 -> 6 bucket bits
 
+    @pytest.mark.parametrize("b", ["23", "40"])
+    def test_bucket_count_size_guard(self, b, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["table-bench", "--u", "32", "--b", b, "--n", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("size guard:") and err.count("\n") == 1
+        assert f"2^{b} buckets" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):
@@ -542,3 +555,110 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+
+# Flag pools for the fuzz.  Each flag takes a value from its pool; a few
+# flags per argv take a malformed value from _BAD instead, where None leaves
+# the flag out.  Runs stay small: --jobs is always 1, and the flags in _KEEP
+# are never left out, so no default-sized workload runs.
+_BAD = (None, "-1", "0", "x", "2.5", "", ",")
+_KEEP = {"--trials", "--samples", "--instances", "--n"}
+_SETS = ("interval", "random", "cluster", "subspace", "affine")
+_FUZZ_FLAGS = {
+    "simulate": {
+        "--u": ("1", "3", "8", "16", "70"),
+        "--b": ("1", "2", "4", "8"),
+        "--set": _SETS,
+        "--set-size": ("1", "4", "16", "64"),
+        "--set-dim": ("1", "4", "8"),
+        "--thresholds": ("1", "2,4", "64"),
+        "--trials": ("1", "5", "20"),
+        "--jobs": ("1",),
+    },
+    "exact": {
+        "--u": ("1", "2", "3", "4", "6", "12"),
+        "--b": ("1", "2", "3", "4"),
+        "--set": _SETS,
+        "--set-size": ("1", "4", "16", "64"),
+        "--set-dim": ("1", "4", "8"),
+        "--thresholds": ("1", "2,4", "64"),
+    },
+    "bounds": {
+        "--formula": ("all", "c-epsilon", "surjective-miss", "e2", "tail",
+                      "ell-threshold", "tail-params", "exponent-margin"),
+        "--eps": ("0.5", "0.25", "0.01", "1.5", "nan", "inf"),
+        "--alpha": ("0.5", "0.9", "1", "nan"),
+        "--u": ("10", "64", "1000"),
+        "--t": ("1", "4", "40"),
+        "--b": ("8", "4,8", "64"),
+        "--f": ("11", "64"),
+        "--r": ("16", "16,256", "1e300", "nan"),
+    },
+    "table-bench": {
+        "--u": ("4", "8", "16", "70"),
+        "--b": ("1", "4", "8", "23", "40"),
+        "--keys": ("random", "interval", "subspace"),
+        "--n": ("0", "8", "0,16", "64", "3"),
+    },
+    "verify": {
+        "--check": (None, *VERIFY_CHECKS),
+        "--samples": ("1", "50", "400"),
+        "--instances": ("1", "5", "20"),
+        "--inject-fault": (None, True),
+    },
+}
+# --bogus is an unknown flag, so it appears only with a malformed value.
+_COMMON_FLAGS = {"--seed": (None, "7", "-3"), "--bogus": (None,)}
+
+
+def _as_int(text):
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
+@st.composite
+def fuzz_argv(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = {**_FUZZ_FLAGS[sub], **_COMMON_FLAGS}
+    if sub in EMITTING_RUNS:
+        flags["--format"] = (None, "csv", "json")
+    bad = set()
+    if draw(st.booleans()):
+        bad = draw(st.sets(st.sampled_from(sorted(set(flags) - {"--jobs"})), max_size=2))
+    argv, chosen = [sub], {}
+    for flag, values in flags.items():
+        if flag in bad:
+            values = _BAD[1:] if flag in _KEEP else _BAD
+        value = chosen[flag] = draw(st.sampled_from(values))
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv += [flag, value]
+    if sub == "exact":  # keep the enumeration to at most 2^12 maps
+        u, b = _as_int(chosen["--u"]), _as_int(chosen["--b"])
+        assume(u is None or b is None or u * b <= 12)
+    return argv, draw(st.booleans())
+
+
+class TestCliFuzz:
+    """Every argv ends in a documented exit code, never a traceback, and a
+    failed run leaves no --out file behind."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(fuzz_argv())
+    def test_exit_codes_without_traceback(self, case):
+        argv, with_out = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "rows"
+            if with_out:
+                argv = argv + ["--out", str(out)]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert not out.exists(), argv

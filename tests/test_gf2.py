@@ -1,5 +1,7 @@
 """Tests for the bit-packed GF(2) linear algebra core."""
 
+import copy
+import pickle
 import random
 from array import array
 from itertools import product
@@ -101,6 +103,16 @@ class TestGF2Vector:
         assert GF2Vector.unit(4, 2).to_bits() == (0, 0, 1, 0)
         with pytest.raises(ValueError):
             GF2Vector.unit(4, 4)
+
+    @pytest.mark.parametrize("dim,bits", [(1, 1), (8, 0xA5), (70, (1 << 69) | 3)])
+    def test_slotted_and_round_trips(self, dim, bits):
+        v = GF2Vector(dim, bits)
+        assert not hasattr(v, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), GF2Vector(dim, bits)):
+            assert twin == v and hash(twin) == hash(v)
+            assert (twin.dim, twin.bits) == (dim, bits)
+        with pytest.raises(AttributeError):
+            v.bits = 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ import dataclasses
 import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from linbins.ballsbins import BallSet, largest_bin
 from linbins.gf2 import (
+    SIZE_GUARD_BITS,
     GF2Vector,
     LinearMap,
+    SizeGuardError,
     _rank_of_bits,
     kernel_basis,
     sample_uniform_affine,
@@ -46,6 +49,20 @@ class TestConstruction:
             counts[t.hash_map.translation.bits] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.02
+
+    @pytest.mark.parametrize("bucket_bits", [23, 40])
+    def test_bucket_count_size_guard(self, bucket_bits):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=f"2\\^{bucket_bits} buckets"):
+                LinearHashTable(32, bucket_bits, random.Random(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_guard_allows_its_own_width(self):
+        assert LinearHashTable(32, SIZE_GUARD_BITS, random.Random(0)).bucket_bits == SIZE_GUARD_BITS
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -104,10 +121,23 @@ class TestMapSemantics:
 
     def test_key_dim_checked(self):
         t = LinearHashTable(8, 3, random.Random(6))
-        with pytest.raises(ValueError):
-            t.insert(GF2Vector(7, 1), 0)
-        with pytest.raises(ValueError):
-            t.get(GF2Vector(9, 1))
+        t.insert(key(1), 1)
+        for op in (lambda k: t.insert(k, 0), t.get, t.remove, lambda k: k in t):
+            for dim in (7, 9):
+                with pytest.raises(ValueError, match=f"key has {dim} bits, table keys have 8"):
+                    op(GF2Vector(dim, 1))
+        assert len(t) == 1 and t.get(key(1)) == 1
+
+    def test_contains_counts_no_probes(self):
+        t = LinearHashTable(8, 2, random.Random(8))
+        for i in range(10):
+            t.insert(key(i), i)
+        t.get(key(3))
+        t.get(key(200))
+        before = t.stats()
+        assert all(key(i) in t for i in range(10))
+        assert not any(key(i) in t for i in range(100, 140))
+        assert t.stats() == before
 
 
 class TestResizePolicy:
@@ -269,7 +299,7 @@ class TestTableBuckets:
         t.audit()  # every stored key sits in bucket apply_bits(key)
         T = t.hash_map
         for k in probe_keys:
-            assert t._bucket(k) == T.apply_bits(k)
+            assert t._find(GF2Vector(t.key_bits, k))[1] == T.apply_bits(k)
 
     @pytest.mark.parametrize("supplied", [False, True])
     @pytest.mark.parametrize("key_bits", [1, 7, 8, 9, 31, 32, 33, 64])

@@ -606,9 +606,6 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     _check_event_args(S, T0, T1)
     T = compose(T1, T0)
     u = T.in_dim
-    ker = kernel_basis(T)
-    _check_guard(ker.dim, "composite preimage enumeration")
-    ker_span = ker.span_bits()
     e2 = event_e2(S, T0, T1)
 
     by_label: dict[int, list[int]] = {}
@@ -619,7 +616,12 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     violations = 0
     overloaded = [(label_bits, balls) for label_bits, balls in sorted(by_label.items())
                   if len(balls) >= ell]
-    fiber_of = _fibers(T1) if overloaded else None
+    if overloaded:
+        # only witnesses read the kernel span, so a clean run never builds it
+        ker = kernel_basis(T)
+        _check_guard(ker.dim, "composite preimage enumeration")
+        ker_span = ker.span_bits()
+        fiber_of = _fibers(T1)
     for label_bits, balls in overloaded:
         fiber = fiber_of(label_bits)
         inner_images = set(_images(T0, balls))
@@ -925,67 +927,63 @@ def _pair_at(n_keys: int, index: int) -> tuple[int, int]:
 
 
 def pairwise_independence_check(universe_dim: int, bin_dim: int,
-                                mode: str = "auto",
                                 rng: random.Random | None = None,
                                 samples: int = 20_000,
                                 max_pairs: int = 40) -> PairwiseReport:
     """Joint distribution check for random affine maps on key pairs.
 
     For distinct keys x1 != x2 the pair (h(x1), h(x2)) must be uniform over
-    all label pairs.  Exact mode enumerates every (matrix, offset) choice on
-    every key pair and demands exact equality; it refuses above 2^16 maps or
-    2^SIZE_GUARD_BITS (map, pair) combinations.  Sampling mode draws maps and
-    compares cell frequencies on at most max_pairs pairs against a loose
-    z-score gate.
+    all 2^(2b) label pairs.  With at most 2^16 affine maps and at most
+    2^SIZE_GUARD_BITS (map, pair) combinations, the check enumerates every
+    (matrix, offset) choice on every key pair and demands exact equality.
+    Otherwise it draws `samples` maps and holds the cell frequencies of at
+    most max_pairs pairs to a 5-sigma gate.  One hit reads 1/samples, over
+    the gate once 2^(2b) > 25 samples, so sampling refuses more cells than
+    samples before it allocates a tally.
     """
-    if mode not in ("auto", "exact", "sampling"):
-        raise ValueError(f"unknown mode {mode!r}")
     total_bits = universe_dim * bin_dim + bin_dim
     n_keys = 1 << universe_dim
     n_pairs = n_keys * (n_keys - 1) // 2
-    exact_fits = total_bits <= 16 and n_pairs << total_bits <= 1 << SIZE_GUARD_BITS
-    if mode == "exact" and not exact_fits:
+    n_cells = 1 << (2 * bin_dim)
+    exact = total_bits <= 16 and n_pairs << total_bits <= 1 << SIZE_GUARD_BITS
+    if not exact and n_cells > samples:
         raise SizeGuardError(
-            f"exact mode enumerates 2^{total_bits} affine maps on {n_pairs} key pairs "
-            f"(caps are 2^16 maps and 2^{SIZE_GUARD_BITS} map-pair combinations)"
+            f"sampling {samples} affine maps cannot resolve 2^{2 * bin_dim} label-pair "
+            f"cells; exhaustive enumeration is capped at 2^16 maps and "
+            f"2^{SIZE_GUARD_BITS} map-pair combinations"
         )
-    if mode == "auto":
-        mode = "exact" if exact_fits else "sampling"
 
     expected = 2.0 ** (-2 * bin_dim)
-    rng = rng if rng is not None else random.Random(0)
-    if mode == "sampling" and n_pairs > max_pairs:
-        indices = rng.sample(range(n_pairs), max_pairs)
-    else:
-        indices = range(n_pairs)
-    tallies = {_pair_at(n_keys, i): [0] * (1 << (2 * bin_dim)) for i in indices}
-    if mode == "exact":
+    if exact:
         draws = 1 << total_bits
-        for offset in range(1 << bin_dim):
-            for rows in all_matrices(universe_dim, bin_dim):
-                images = [_apply_rows(rows, x) ^ offset for x in range(n_keys)]
-                for (a, b), tally in tallies.items():
-                    tally[(images[a] << bin_dim) | images[b]] += 1
+        indices = range(n_pairs)
+        maps = ((rows, offset) for offset in range(1 << bin_dim)
+                for rows in all_matrices(universe_dim, bin_dim))
         tolerance = 0.0
     else:
         draws = samples
-        for _ in range(samples):
-            h = sample_uniform_affine(universe_dim, bin_dim, rng)
-            for (a, b), tally in tallies.items():
-                tally[(h.apply_bits(a) << bin_dim) | h.apply_bits(b)] += 1
+        rng = rng if rng is not None else random.Random(0)
+        indices = (rng.sample(range(n_pairs), max_pairs) if n_pairs > max_pairs
+                   else range(n_pairs))
+        maps = ((h.row_bits, h.translation_bits) for h in
+                (sample_uniform_affine(universe_dim, bin_dim, rng) for _ in range(samples)))
         # 5 sigma on a binomial cell keeps false alarms negligible across cells
         tolerance = 5.0 * math.sqrt(expected * (1 - expected) / samples)
-    max_err = max(
-        abs(c / draws - expected)
-        for tally in tallies.values()
-        for c in tally
-    )
+    pairs = [_pair_at(n_keys, i) for i in indices]
+    keys = sorted({x for pair in pairs for x in pair})
+    slot = {x: i for i, x in enumerate(keys)}  # a key's place in each map's images
+    tallies = [(slot[a], slot[b], [0] * n_cells) for a, b in pairs]
+    for rows, offset in maps:
+        images = [_apply_rows(rows, x) ^ offset for x in keys]
+        for i, j, tally in tallies:
+            tally[(images[i] << bin_dim) | images[j]] += 1
+    max_err = max(abs(c / draws - expected) for _, _, tally in tallies for c in tally)
     return PairwiseReport(
-        mode=mode,
+        mode="exact" if exact else "sampling",
         universe_dim=universe_dim,
         bin_dim=bin_dim,
-        pairs_checked=len(tallies),
-        cells_checked=len(tallies) * (1 << (2 * bin_dim)),
+        pairs_checked=len(pairs),
+        cells_checked=len(pairs) * n_cells,
         expected=expected,
         max_abs_error=max_err,
         tolerance=tolerance,

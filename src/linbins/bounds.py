@@ -1,24 +1,14 @@
 """Closed-form evaluators for the max-load probability bounds.
 
 All logarithms are base 2.  Evaluators are pure: same inputs, bit-identical
-outputs.  Values above 1 are meaningful (they mark vacuous regimes), so the
-raw number is always available; clamped variants cap at 1 for report tables.
+outputs.  Each returns the raw float: values above 1 are meaningful (they
+mark vacuous regimes), and report tables cap them at 1 themselves.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
-
-
-class BoundValue(NamedTuple):
-    raw: float
-    clamped: float
-
-
-def _clamp(x: float) -> float:
-    return min(1.0, max(0.0, x))
 
 
 def _check_eps(eps: float) -> None:
@@ -42,7 +32,7 @@ def c_epsilon(eps: float) -> float:
 
 
 def bound_surjective_miss(universe_dim: int, target_dim: int,
-                          alpha: float) -> BoundValue:
+                          alpha: float) -> float:
     """Chance a uniform surjective map fails to cover the whole target space.
 
     alpha is the unoccupied fraction of the universe; the bound is
@@ -60,8 +50,7 @@ def bound_surjective_miss(universe_dim: int, target_dim: int,
         - math.log2(target_dim)
         + math.log2(math.log2(1.0 / alpha))
     )
-    raw = alpha ** exponent
-    return BoundValue(raw, _clamp(raw))
+    return alpha ** exponent
 
 
 def bound_e2(bin_dim: int, inter_dim: int) -> float:

@@ -149,17 +149,6 @@ class LinearMap:
     ) -> "LinearMap":
         return cls(in_dim, len(row_bits), tuple(row_bits), translation_bits)
 
-    @classmethod
-    def from_column_bits(
-        cls,
-        in_dim: int,
-        out_dim: int,
-        col_bits: Sequence[int],
-        translation_bits: int | None = None,
-    ) -> "LinearMap":
-        rows = tuple(_transpose(col_bits, out_dim))
-        return cls(in_dim, out_dim, rows, translation_bits)
-
     @property
     def rows(self) -> tuple[GF2Vector, ...]:
         return tuple(GF2Vector(self.in_dim, r) for r in self.row_bits)

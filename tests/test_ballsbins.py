@@ -15,6 +15,7 @@ from linbins.ballsbins import (
     BATCH_MIN,
     BallSet,
     ExperimentConfig,
+    PairwiseReport,
     SET_KINDS,
     bin_counts,
     build_ball_set,
@@ -760,6 +761,25 @@ class TestImplication:
         assert report.witnesses == ()
         assert report.ok
 
+    def test_clean_run_builds_no_kernel_span(self):
+        # the composite kernel has dimension 36, past the 2^22 guard; a run in
+        # which no label reaches ell never enumerates it, so it neither
+        # refuses nor allocates 2^36 of anything
+        rng = random.Random(9)
+        S = generate_set("random", 40, 50, rng)
+        T0 = sample_surjective(40, 8, rng)
+        T1 = sample_surjective(8, 4, rng)
+        tracemalloc.start()
+        try:
+            report = check_e1_e2_implication(S, T0, T1, 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.witnesses == () and report.ok
+        assert peak < 1 << 20
+        with pytest.raises(SizeGuardError, match="composite preimage"):
+            check_e1_e2_implication(S, T0, T1, 1)
+
     def test_full_universe_example(self):
         S = full_universe(3)
         rng = random.Random(6)
@@ -1027,13 +1047,31 @@ class TestPairwiseIndependence:
         assert report.ok  # joint exactness implies the marginal
 
     def test_exact_mode_guard(self):
-        with pytest.raises(SizeGuardError):
-            pairwise_independence_check(8, 2, mode="exact")
+        # 2^18 affine maps are over the 2^16 map cap, so the check samples
+        assert pairwise_independence_check(8, 2, samples=2000).mode == "sampling"
 
     def test_exact_mode_guard_counts_pairs(self):
-        # 2^16 maps pass the map cap, but C(2^15, 2) key pairs do not fit
-        with pytest.raises(SizeGuardError):
-            pairwise_independence_check(15, 1, mode="exact")
+        # 2^16 maps pass the map cap, but C(2^15, 2) key pairs do not fit, so
+        # the check samples
+        assert pairwise_independence_check(15, 1, samples=2000).mode == "sampling"
+
+    @pytest.mark.parametrize("u,b,samples", [(4, 16, 2000), (4, 16, 20_000), (3, 6, 4095)])
+    def test_sampling_guard_before_allocating(self, u, b, samples):
+        # more cells than samples are refused before a map is drawn or a tally
+        # allocated; at (4, 16) one hit alone would exceed the 5-sigma gate
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=f"2\\^{2 * b} label-pair cells"):
+                pairwise_independence_check(u, b, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_guard_allows_one_cell_per_sample(self):
+        report = pairwise_independence_check(3, 6, rng=random.Random(2), samples=4096,
+                                             max_pairs=2)
+        assert report.mode == "sampling" and report.cells_checked == 2 * 4096
 
     def test_pair_index_decoding(self):
         for u in range(1, 7):
@@ -1061,3 +1099,19 @@ class TestPairwiseIndependence:
         assert report.mode == "sampling"
         assert report.ok
         assert report.tolerance > 0
+
+    @pytest.mark.parametrize("u,b,kwargs,want", [
+        (2, 1, {}, PairwiseReport(
+            mode="exact", universe_dim=2, bin_dim=1, pairs_checked=6, cells_checked=24,
+            expected=0.25, max_abs_error=0.0, tolerance=0.0, ok=True)),
+        (3, 2, {}, PairwiseReport(
+            mode="exact", universe_dim=3, bin_dim=2, pairs_checked=28, cells_checked=448,
+            expected=0.0625, max_abs_error=0.0, tolerance=0.0, ok=True)),
+        (8, 2, {"rng": random.Random(1), "samples": 4000, "max_pairs": 8}, PairwiseReport(
+            mode="sampling", universe_dim=8, bin_dim=2, pairs_checked=8, cells_checked=128,
+            expected=0.0625, max_abs_error=0.011000000000000003,
+            tolerance=0.019136638615493577, ok=True)),
+    ], ids=["exact-2-1", "exact-3-2", "sampling-8-2"])
+    def test_reports_pinned(self, u, b, kwargs, want):
+        # every field pinned; the sampling case also pins how the rng is consumed
+        assert pairwise_independence_check(u, b, **kwargs) == want

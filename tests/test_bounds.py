@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from linbins.bounds import (
-    BoundValue,
     bound_e2,
     bound_surjective_miss,
     bound_tail,
@@ -17,6 +16,7 @@ from linbins.bounds import (
     tail_bound_parameters,
     tail_exponent_margin,
 )
+from linbins.cli import main
 
 
 class TestCEpsilon:
@@ -41,19 +41,24 @@ class TestCEpsilon:
 class TestSurjectiveMiss:
     def test_example_alpha_half(self):
         # exponent 10 - 4 - 2 + log2(log2(2)) = 4
-        v = bound_surjective_miss(10, 4, 0.5)
-        assert v == BoundValue(0.0625, 0.0625)
+        assert bound_surjective_miss(10, 4, 0.5) == 0.0625
 
     def test_example_alpha_quarter(self):
         # exponent 8 - 2 - 1 + 1 = 6
         v = bound_surjective_miss(8, 2, 0.25)
-        assert v.raw == pytest.approx(0.25 ** 6, rel=1e-12)
-        assert v.raw == pytest.approx(2.4414e-4, rel=1e-3)
+        assert v == pytest.approx(0.25 ** 6, rel=1e-12)
+        assert v == pytest.approx(2.4414e-4, rel=1e-3)
 
-    def test_alpha_near_one_is_vacuous(self):
-        v = bound_surjective_miss(10, 4, 0.999999)
-        assert v.raw >= 1.0
-        assert v.clamped == 1.0
+    def test_alpha_near_one_is_vacuous(self, tmp_path):
+        # the evaluator returns the raw value; the bounds table caps it at 1
+        assert bound_surjective_miss(10, 4, 0.999999) >= 1.0
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--formula", "surjective-miss", "--u", "10", "--t", "4",
+                     "--alpha", "0.999999", "--out", str(out)]) == 0
+        header, row = [r for r in out.read_text().splitlines() if not r.startswith("#")]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["value_raw"]) >= 1.0
+        assert cells["value_clamped"] == "1.0" and cells["vacuous"] == "yes"
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -97,7 +102,7 @@ class TestBoundE2:
             for f in range(b + 1, b + 10):
                 mu = 2.0 ** (b - f)
                 assert bound_e2(b, f) == pytest.approx(
-                    bound_surjective_miss(f, b, mu).raw, rel=1e-9
+                    bound_surjective_miss(f, b, mu), rel=1e-9
                 )
 
 

@@ -323,6 +323,15 @@ class TestBounds:
         assert float(row[10]) == 1.0
         assert row[11] == "yes"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--r", "nan"), ("--r", "16,inf"), ("--eps", "nan"), ("--alpha", "0.5,-inf"),
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, flag, value, tmp_path, capsys):
+        code, text = run_to_file(tmp_path, "bounds.csv", ["bounds", flag, value])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"usage error: expected finite numbers, got {value!r}\n"
+
     def test_grid_crossproduct(self, tmp_path):
         _, text = run_to_file(tmp_path, "bounds.csv", [
             "bounds", "--formula", "tail", "--b", "4,8", "--r", "16,64,256",

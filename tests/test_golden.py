@@ -7,7 +7,8 @@ batch path at in_dim 8, 12 and 24 (one, two and three byte chunks) and on
 random sets whose images span two output bytes (u 32, b 16) and two 64-bit
 words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
 interval) of both sizes.
-The exact runs cover enumerated (interval, random) and linear sets.
+The exact runs cover enumerated (interval, random, cluster) and linear sets,
+the interval [0, 2^k) among them.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
 deliberate, documented change of rows.
@@ -56,6 +57,12 @@ GOLDEN = {
                        "--set-dim", "3", "--thresholds", "2,4"],
     "exact-affine": ["exact", "--u", "6", "--b", "3", "--set", "affine",
                      "--set-dim", "2", "--thresholds", "2,4"],
+    "exact-interval-pow2": ["exact", "--u", "4", "--b", "3", "--set", "interval",
+                            "--set-size", "8", "--thresholds", "2,3,4", "--seed", "2"],
+    "exact-random-u4-b3": ["exact", "--u", "4", "--b", "3", "--set", "random",
+                           "--set-size", "10", "--thresholds", "2,3,4", "--seed", "2"],
+    "exact-cluster": ["exact", "--u", "5", "--b", "3", "--set", "cluster",
+                      "--set-size", "12", "--thresholds", "2,3,4", "--seed", "2"],
     "bounds-all": ["bounds", "--b", "4,8", "--r", "16,256", "--eps", "0.25,0.5",
                    "--f", "9,11"],
     "table-bench-random": ["table-bench", "--u", "16", "--b", "3", "--keys", "random",

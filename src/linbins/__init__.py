@@ -27,12 +27,13 @@ from .ballsbins import (
     TrialSummary,
     bin_counts,
     check_e1_e2_implication,
+    distribution_mean,
+    distribution_tail,
     estimate_tail,
     event_e1,
     event_e2,
     event_e2_direct,
-    exact_expected_lbin,
-    exact_tail_probability,
+    exact_lbin_distribution,
     generate_set,
     largest_bin,
     pairwise_independence_check,

@@ -3,8 +3,8 @@
 Ball sets live in a u-bit universe; a map hashes them into 2^b bins.  This
 module measures largest-bin sizes, checks the structural events behind the
 max-load tail analysis, runs seeded Monte Carlo estimation with confidence
-intervals, and provides exact oracles: closed-form on subspace and affine
-sets, enumerated over every map (small dimensions only) on the others.
+intervals, and provides exact oracles: closed-form on sets with a linear
+basis, enumerated over every map (small dimensions only) on the others.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ class BallSet:
     was passed, so equal members make equal sets; listed_bits is left out of
     the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
     listed members themselves, or shift ^ span(basis) in subset-XOR order
-    made on first use under the size guard.  `members`, `basis` and `shift`
-    are GF2Vector views of the packed fields; `planes` holds the members as
+    made on first use under the size guard.  `members` and `basis` are
+    GF2Vector views of the packed fields; `planes` holds the members as
     byte planes for the batch kernel, and `linear_basis` the basis the rank
     route reads, each built on first use.
     """
@@ -210,11 +210,6 @@ class BallSet:
         if self.basis_bits is None:
             return None
         return tuple(GF2Vector(self.universe_dim, v) for v in self.basis_bits)
-
-    @property
-    def shift(self) -> GF2Vector | None:
-        s = self.shift_bits
-        return None if s is None else GF2Vector(self.universe_dim, s)
 
     @property
     def size(self) -> int:
@@ -793,32 +788,31 @@ def _rank_count(rows: int, cols: int, rank: int) -> int:
     return num // den
 
 
-def exact_lbin_distribution(universe_dim: int, bin_dim: int,
-                            S: BallSet) -> dict[int, int]:
+def exact_lbin_distribution(bin_dim: int, S: BallSet) -> dict[int, int]:
     """Largest-bin value -> number of linear maps attaining it, over all maps.
 
-    Subspace and affine sets use the closed form: with B a basis of dimension
-    d, T -> T B is onto the bin_dim x d matrices with 2^(bin_dim (u - d))
-    maps behind each one, and the largest bin is 2^(d - rank(T B)).  Other
-    sets enumerate every map, under the size guard.
+    A set with a linear basis (`S.linear_basis`: subspace, affine, [0, 2^k))
+    uses the closed form: with B that basis, of dimension d, T -> T B is onto
+    the bin_dim x d matrices with 2^(bin_dim (u - d)) maps behind each one, and
+    the largest bin is 2^(d - rank(T B)).  Other sets enumerate every map,
+    under the size guard.
     """
-    if S.universe_dim != universe_dim:
-        raise ValueError("ball set universe does not match")
-    if S.kind in LINEAR_KINDS:
-        d = len(S.basis_bits)
-        behind = 1 << (bin_dim * (universe_dim - d))
-        return {1 << (d - k): _rank_count(bin_dim, d, k) * behind
-                for k in range(min(bin_dim, d) + 1)}
-    return _enumerated_lbin_distribution(universe_dim, bin_dim, S)
+    basis = S.linear_basis
+    if basis is None:
+        return _enumerated_lbin_distribution(bin_dim, S)
+    d = len(basis.basis_bits)
+    behind = 1 << (bin_dim * (S.universe_dim - d))
+    return {1 << (d - k): _rank_count(bin_dim, d, k) * behind
+            for k in range(min(bin_dim, d) + 1)}
 
 
-def _enumerated_lbin_distribution(universe_dim: int, bin_dim: int,
-                                  S: BallSet) -> dict[int, int]:
+def _enumerated_lbin_distribution(bin_dim: int, S: BallSet) -> dict[int, int]:
     """exact_lbin_distribution by applying every linear map to every ball."""
-    _check_guard(universe_dim * bin_dim, "map enumeration")
+    u = S.universe_dim
+    _check_guard(u * bin_dim, "map enumeration")
     dist: Counter[int] = Counter()
-    for rows in all_matrices(universe_dim, bin_dim):
-        dist[max(Counter([_apply_rows(rows, x) for x in S.member_bits]).values())] += 1
+    for rows in all_matrices(u, bin_dim):
+        dist[_largest_load([_apply_rows(rows, x) for x in S.member_bits], bin_dim)] += 1
     return dist
 
 
@@ -832,17 +826,6 @@ def distribution_tail(dist: Mapping[int, int], ell: int) -> Fraction:
     if ell < 1:
         raise ValueError("threshold must be >= 1")
     return Fraction(sum(c for v, c in dist.items() if v >= ell), sum(dist.values()))
-
-
-def exact_expected_lbin(universe_dim: int, bin_dim: int, S: BallSet) -> Fraction:
-    """Exact mean largest bin over every linear map, as a rational."""
-    return distribution_mean(exact_lbin_distribution(universe_dim, bin_dim, S))
-
-
-def exact_tail_probability(universe_dim: int, bin_dim: int, S: BallSet,
-                           ell: int) -> Fraction:
-    """Exact P[largest bin >= ell] under a uniform linear map."""
-    return distribution_tail(exact_lbin_distribution(universe_dim, bin_dim, S), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -884,18 +867,18 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     k = len(span_bits) + len(ker_bits) - sum_rank
     expected = 1 << k
 
-    hist = bin_counts(T, S)
-    zero_count = hist.count_of(GF2Vector.zero(T.out_dim))
-    largest = hist.max_count
+    tally = Counter(_images(T, _balls(S)))
+    zero_count = tally[0]
+    largest = max(tally.values())
     return SubspaceReport(
         intersection_dim=k,
         expected_bin_size=expected,
-        nonempty_bins=len(hist.counts),
+        nonempty_bins=len(tally),
         zero_label_count=zero_count,
         largest=largest,
-        uniform_ok=all(c == expected for c in hist.counts.values()),
+        uniform_ok=all(c == expected for c in tally.values()),
         zero_is_largest_ok=(zero_count == largest),
-        count_ok=(len(hist.counts) * expected == S.size),
+        count_ok=(len(tally) * expected == S.size),
     )
 
 
@@ -941,6 +924,10 @@ def pairwise_independence_check(universe_dim: int, bin_dim: int,
     the gate once 2^(2b) > 25 samples, so sampling refuses more cells than
     samples before it allocates a tally.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
     total_bits = universe_dim * bin_dim + bin_dim
     n_keys = 1 << universe_dim
     n_pairs = n_keys * (n_keys - 1) // 2

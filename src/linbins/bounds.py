@@ -113,7 +113,12 @@ def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> tuple[int, int]
     c_eps = c_epsilon(eps)
     lg = math.log2(r)
     inter_dim = math.floor(bin_dim + lg - math.log2(lg) + 1)
-    threshold = math.ceil(2.0 * c_eps * r)
+    try:
+        threshold = math.ceil(2.0 * c_eps * r)
+    except OverflowError:
+        raise OverflowError(
+            f"ell = ceil(2*c_epsilon*r) overflows a float at r={r}, eps={eps}"
+        ) from None
     if inter_dim <= bin_dim:
         raise ArithmeticError(
             f"instantiation failed: intermediate dim {inter_dim} <= bin dim {bin_dim}"

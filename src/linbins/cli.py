@@ -265,7 +265,7 @@ def _rational_str(value: Fraction, row: str) -> str:
 def cmd_exact(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     S = build_ball_set(config)
-    dist = exact_lbin_distribution(config.universe_dim, config.bin_dim, S)
+    dist = exact_lbin_distribution(config.bin_dim, S)
     expected = _rational_str(distribution_mean(dist), "exact-mean")
     base = _row_base(config, S.size)
     rows = [dict(base, experiment="exact-mean", lbin=expected)]

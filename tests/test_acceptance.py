@@ -11,8 +11,9 @@ from fractions import Fraction
 from linbins.ballsbins import (
     BallSet,
     ExperimentConfig,
+    distribution_mean,
     estimate_tail,
-    exact_expected_lbin,
+    exact_lbin_distribution,
     generate_set,
     largest_bin,
     substream,
@@ -40,8 +41,8 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_exact_oracle_match():
     t0 = time.perf_counter()
     S = generate_set("interval", 2, 4)
-    got_1 = exact_expected_lbin(2, 1, S)
-    got_2 = exact_expected_lbin(2, 2, S)
+    got_1 = distribution_mean(exact_lbin_distribution(1, S))
+    got_2 = distribution_mean(exact_lbin_distribution(2, S))
     elapsed = time.perf_counter() - t0
     ok = (
         got_1 == Fraction(5, 2)

@@ -23,13 +23,13 @@ from linbins.ballsbins import (
     chi_square_sf,
     chi_square_statistic,
     derive_seed,
+    distribution_mean,
+    distribution_tail,
     estimate_tail,
     event_e1,
     event_e2,
     event_e2_direct,
-    exact_expected_lbin,
     exact_lbin_distribution,
-    exact_tail_probability,
     generate_set,
     largest_bin,
     _pair_at,
@@ -567,7 +567,7 @@ class TestRankRoute:
         T = sample_uniform_linear(64, 16, random.Random(98))
         assert S.size == 1 << 40
         assert S.descriptor == f"affine(u=64,size={1 << 40},dim=40)"
-        dist = exact_lbin_distribution(64, 16, S)
+        dist = exact_lbin_distribution(16, S)
         assert sum(dist.values()) == 1 << (64 * 16)
         assert largest_bin(T, S) in dist and largest_bin(T, S) >= 1 << 24
         assert "member_bits" not in S.__dict__
@@ -835,7 +835,7 @@ class TestEstimateTail:
         summary = estimate_tail(cfg)
         S = build_ball_set(cfg)
         for tail in summary.tails:
-            p = float(exact_tail_probability(2, 1, S, tail.threshold))
+            p = float(distribution_tail(exact_lbin_distribution(1, S), tail.threshold))
             se = math.sqrt(max(p * (1 - p), 1e-12) / cfg.trials)
             assert abs(tail.frequency - p) <= max(3 * se, 1e-9)
 
@@ -843,8 +843,8 @@ class TestEstimateTail:
         cfg = ExperimentConfig(2, 2, "interval", 20_000, 13, (1,), set_size=4)
         summary = estimate_tail(cfg)
         S = build_ball_set(cfg)
-        exact = float(exact_expected_lbin(2, 2, S))
-        dist = exact_lbin_distribution(2, 2, S)
+        dist = exact_lbin_distribution(2, S)
+        exact = float(distribution_mean(dist))
         total = sum(dist.values())
         var = sum(c * (v - exact) ** 2 for v, c in dist.items()) / total
         se = math.sqrt(var / cfg.trials)
@@ -896,17 +896,17 @@ class TestEstimateTail:
 class TestExactOracles:
     def test_frozen_values(self):
         S = full_universe(2)
-        assert exact_expected_lbin(2, 1, S) == Fraction(5, 2)
-        assert exact_expected_lbin(2, 2, S) == Fraction(7, 4)
-        assert exact_tail_probability(2, 1, S, 4) == Fraction(1, 4)
-        assert exact_tail_probability(2, 1, S, 2) == Fraction(1)
+        assert distribution_mean(exact_lbin_distribution(1, S)) == Fraction(5, 2)
+        assert distribution_mean(exact_lbin_distribution(2, S)) == Fraction(7, 4)
+        assert distribution_tail(exact_lbin_distribution(1, S), 4) == Fraction(1, 4)
+        assert distribution_tail(exact_lbin_distribution(1, S), 2) == Fraction(1)
         S11 = generate_set("interval", 1, 2)
-        assert exact_expected_lbin(1, 1, S11) == Fraction(3, 2)
+        assert distribution_mean(exact_lbin_distribution(1, S11)) == Fraction(3, 2)
 
     def test_singleton_is_always_one(self):
         S = BallSet.from_members(3, (GF2Vector(3, 5),), "interval")
         for b in (1, 2, 3):
-            assert exact_expected_lbin(3, b, S) == Fraction(1)
+            assert distribution_mean(exact_lbin_distribution(b, S)) == Fraction(1)
 
     def test_independent_brute_force(self):
         # same quantity via naive per-bit application, no shared code path
@@ -921,35 +921,39 @@ class TestExactOracles:
                     y = naive_apply_bits(rows, x)
                     tally[y] = tally.get(y, 0) + 1
                 total += max(tally.values())
-            assert exact_expected_lbin(2, b, S) == Fraction(total, n_maps)
+            assert distribution_mean(exact_lbin_distribution(b, S)) == Fraction(total, n_maps)
 
     def test_distribution_accounts_for_every_map(self):
         S = generate_set("interval", 3, 5)
-        dist = exact_lbin_distribution(3, 2, S)
+        dist = exact_lbin_distribution(2, S)
         assert sum(dist.values()) == 1 << 6
 
     def test_size_guard(self):
-        S = full_universe(5)
+        # 31 members have no linear basis, so 2^25 maps would be enumerated
+        S = generate_set("interval", 5, 31)
         with pytest.raises(SizeGuardError):
-            exact_lbin_distribution(5, 5, S)
+            exact_lbin_distribution(5, S)
 
     def test_closed_form_matches_enumeration(self):
-        # every u b <= 10 and d = 0..u, on both kinds with a closed form
+        # every u b <= 10 and d = 0..u, on every set with a linear basis:
+        # subspace, affine and the interval [0, 2^d)
         rng = random.Random(100)
         cases = 0
         for u in range(1, 11):
             for b in range(1, 10 // u + 1):
                 for d in range(u + 1):
-                    for kind in ("subspace", "affine"):
-                        S = generate_set(kind, u, d, rng)
-                        want = ballsbins._enumerated_lbin_distribution(u, b, S)
-                        assert exact_lbin_distribution(u, b, S) == want
+                    for S in (generate_set("subspace", u, d, rng),
+                              generate_set("affine", u, d, rng),
+                              generate_set("interval", u, 1 << d)):
+                        assert S.linear_basis is not None
+                        want = ballsbins._enumerated_lbin_distribution(b, S)
+                        assert exact_lbin_distribution(b, S) == want
                         cases += 1
-        assert cases == 228
+        assert cases == 342
 
     def test_closed_form_beyond_guard(self):
         S = generate_set("subspace", 32, 4, random.Random(101))
-        dist = exact_lbin_distribution(32, 16, S)
+        dist = exact_lbin_distribution(16, S)
         assert sum(dist.values()) == 1 << (32 * 16)
         assert sorted(dist) == [1, 2, 4, 8, 16]
         # T B is the zero matrix for 2^(16 (32 - 4)) maps
@@ -1067,6 +1071,19 @@ class TestPairwiseIndependence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("u,b,kwargs,message", [
+        (8, 2, {"samples": 100, "max_pairs": 0}, "max_pairs must be >= 1, got 0"),
+        (2, 1, {"max_pairs": -1}, "max_pairs must be >= 1, got -1"),
+        (8, 2, {"samples": 0}, "samples must be >= 1, got 0"),
+        (2, 1, {"samples": -5}, "samples must be >= 1, got -5"),
+    ])
+    def test_counts_below_one_rejected(self, u, b, kwargs, message):
+        # refused by name whichever mode the shape would pick: (2, 1) enumerates
+        # and (8, 2) samples
+        with pytest.raises(ValueError) as info:
+            pairwise_independence_check(u, b, **kwargs)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_guard_allows_one_cell_per_sample(self):
         report = pairwise_independence_check(3, 6, rng=random.Random(2), samples=4096,

@@ -219,6 +219,8 @@ class TestTailParameters:
          "instantiation failed: threshold 632219185972 below 1099511627776.0"),
         ((2.0 ** 53, 18.4, 0.75), ArithmeticError,
          "instantiation failed: threshold 5147239 below 8951719.039599504"),
+        ((8, 1e300, 0.5), OverflowError,
+         "ell = ceil(2*c_epsilon*r) overflows a float at r=1e+300, eps=0.5"),
     ])
     def test_error_paths(self, args, error, message):
         # Twice, so a cached c_epsilon cannot let a repeat through.

@@ -263,7 +263,7 @@ class TestExact:
 
     def test_size_guard_exit(self, capsys):
         assert main([
-            "exact", "--u", "6", "--b", "6", "--set", "interval", "--set-size", "4",
+            "exact", "--u", "6", "--b", "6", "--set", "interval", "--set-size", "5",
         ]) == 2
 
     def test_unprintable_rational_is_size_guard(self, tmp_path, capsys):
@@ -286,10 +286,14 @@ class TestExact:
           "--trials", "100"], "simulate", 6, {str(i) for i in range(100)}),
         (["exact", "--u", "64", "--b", "16", "--set", "affine", "--set-dim", "40"],
          "exact-tail", 9, {"1"}),
-    ], ids=["exact-subspace-4", "simulate-subspace-40", "exact-affine-40"])
+        (["exact", "--u", "32", "--b", "16", "--set", "interval", "--set-size", "1024",
+          "--thresholds", "2,1024"], "exact-tail", 9, {"2", "1024"}),
+    ], ids=["exact-subspace-4", "simulate-subspace-40", "exact-affine-40",
+            "exact-interval-1024"])
     def test_linear_set_skips_size_guard(self, tmp_path, argv, experiment, column, cells):
-        # subspace and affine sets take the rank route and the closed form, which
-        # read only the basis, so neither u*b nor 2^dim meets the size guard
+        # sets with a linear basis (subspace, affine, [0, 2^k)) take the rank
+        # route and the closed form, which read only the basis, so neither u*b
+        # nor 2^dim meets the size guard
         code, text = run_to_file(tmp_path, "out.csv", argv)
         assert code == 0
         rows = [r.split(",") for r in data_rows(text) if r.startswith(experiment + ",")]

@@ -6,9 +6,11 @@ simulate runs cover the scalar apply path (fewer than BATCH_MIN balls) and the
 batch path at in_dim 8, 12 and 24 (one, two and three byte chunks) and on
 random sets whose images span two output bytes (u 32, b 16) and two 64-bit
 words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
-interval) of both sizes.
+interval) of both sizes, and intervals that are not [0, 2^k) at u 32, b 16:
+100000 balls on the batch path, and 91 (0b1011011, bits spread) on the
+scalar path.
 The exact runs cover enumerated (interval, random, cluster) and linear sets,
-the interval [0, 2^k) among them.
+the interval [0, 2^k) among them, and an enumerated interval at u*b = 15.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
 deliberate, documented change of rows.
@@ -49,6 +51,10 @@ GOLDEN = {
                                        "--set", "random", "--set-size", "16384"],
     "simulate-random-u72-b70": _SIM + ["20", "--u", "72", "--b", "70",
                                        "--set", "random", "--set-size", "256"],
+    "simulate-interval-u32-100000": _SIM + ["20", "--u", "32", "--b", "16",
+                                            "--set", "interval", "--set-size", "100000"],
+    "simulate-interval-u32-91": _SIM + ["200", "--u", "32", "--b", "16",
+                                        "--set", "interval", "--set-size", "91"],
     "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
                        "--set-size", "5", "--thresholds", "2,3"],
     "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",
@@ -63,6 +69,8 @@ GOLDEN = {
                            "--set-size", "10", "--thresholds", "2,3,4", "--seed", "2"],
     "exact-cluster": ["exact", "--u", "5", "--b", "3", "--set", "cluster",
                       "--set-size", "12", "--thresholds", "2,3,4", "--seed", "2"],
+    "exact-interval-u5-b3": ["exact", "--u", "5", "--b", "3", "--set", "interval",
+                             "--set-size", "23", "--thresholds", "2,3,4", "--seed", "2"],
     "bounds-all": ["bounds", "--b", "4,8", "--r", "16,256", "--eps", "0.25,0.5",
                    "--f", "9,11"],
     "table-bench-random": ["table-bench", "--u", "16", "--b", "3", "--keys", "random",

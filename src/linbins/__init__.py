@@ -22,7 +22,6 @@ from .gf2 import (
 )
 from .ballsbins import (
     BallSet,
-    BinHistogram,
     ExperimentConfig,
     TrialSummary,
     bin_counts,

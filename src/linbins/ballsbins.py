@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .gf2 import (
     SIZE_GUARD_BITS,
     BytePlanes,
-    GF2Vector,
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
@@ -150,8 +149,7 @@ class BallSet:
     was passed, so equal members make equal sets; listed_bits is left out of
     the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
     listed members themselves, or shift ^ span(basis) in subset-XOR order
-    made on first use under the size guard.  `members` and `basis` are
-    GF2Vector views of the packed fields; `planes` holds the members as
+    made on first use under the size guard.  `planes` holds the members as
     byte planes for the batch kernel, and `linear_basis` the basis the rank
     route reads, each built on first use.
     """
@@ -186,30 +184,12 @@ class BallSet:
             raise ValueError("ball set members must be distinct")
         object.__setattr__(self, "listed_bits", _packed(bits, u))
 
-    @classmethod
-    def from_members(cls, universe_dim: int, members: Sequence[GF2Vector],
-                     kind: str) -> "BallSet":
-        for v in members:
-            if v.dim != universe_dim:
-                raise ValueError(f"member dim {v.dim} != universe {universe_dim}")
-        return cls(universe_dim, tuple(v.bits for v in members), kind)
-
     @cached_property
     def member_bits(self) -> Sequence[int]:
         if self.kind not in LINEAR_KINDS:
             return self.listed_bits
         _check_guard(len(self.basis_bits), "subspace enumeration")
         return tuple(map((self.shift_bits or 0).__xor__, _span(self.basis_bits)))
-
-    @property
-    def members(self) -> tuple[GF2Vector, ...]:
-        return tuple(GF2Vector(self.universe_dim, x) for x in self.member_bits)
-
-    @property
-    def basis(self) -> tuple[GF2Vector, ...] | None:
-        if self.basis_bits is None:
-            return None
-        return tuple(GF2Vector(self.universe_dim, v) for v in self.basis_bits)
 
     @property
     def size(self) -> int:
@@ -386,25 +366,6 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinHistogram:
-    """Counts per occupied bin label; omitted labels hold zero balls."""
-
-    bin_dim: int
-    counts: Mapping[GF2Vector, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def max_count(self) -> int:
-        return max(self.counts.values())
-
-    def count_of(self, label: GF2Vector) -> int:
-        return self.counts.get(label, 0)
-
-
 def _balls(S: BallSet) -> BytePlanes | Sequence[int]:
     """What an apply pass over S reads: its byte planes, or its packed members
     when S is too small for the batch kernel."""
@@ -462,14 +423,10 @@ def _check_map_vs_set(T: LinearMap, S: BallSet) -> None:
         raise ValueError(f"map takes {T.in_dim} bits, balls have {S.universe_dim}")
 
 
-def bin_counts(T: LinearMap, S: BallSet) -> BinHistogram:
-    """Histogram of how many balls land on each bin label."""
+def bin_counts(T: LinearMap, S: BallSet) -> Counter[int]:
+    """How many balls land on each packed bin label; omitted labels hold none."""
     _check_map_vs_set(T, S)
-    tally = Counter(_images(T, _balls(S)))
-    return BinHistogram(
-        T.out_dim,
-        {GF2Vector(T.out_dim, k): v for k, v in sorted(tally.items())},
-    )
+    return Counter(_images(T, _balls(S)))
 
 
 def largest_bin(T: LinearMap, S: BallSet) -> int:
@@ -567,13 +524,14 @@ def event_e2_direct(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
 
 @dataclass(frozen=True)
 class ImplicationWitness:
-    """One overloaded bin label with the sets the implication argument uses."""
+    """One overloaded bin label with the sets the implication argument uses,
+    all packed."""
 
-    label: GF2Vector
-    hits: tuple[GF2Vector, ...]       # balls mapped to the label by the composite
-    preimage: tuple[GF2Vector, ...]   # full composite preimage of the label
-    fiber: tuple[GF2Vector, ...]      # outer-map fiber of the label
-    fiber_covered: bool               # inner images of the hits cover the fiber
+    label: int
+    hits: tuple[int, ...]       # balls mapped to the label by the composite
+    preimage: tuple[int, ...]   # full composite preimage of the label
+    fiber: tuple[int, ...]      # outer-map fiber of the label
+    fiber_covered: bool         # inner images of the hits cover the fiber
 
 
 @dataclass(frozen=True)
@@ -600,7 +558,6 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
         raise ValueError("threshold must be >= 1")
     _check_event_args(S, T0, T1)
     T = compose(T1, T0)
-    u = T.in_dim
     e2 = event_e2(S, T0, T1)
 
     by_label: dict[int, list[int]] = {}
@@ -625,13 +582,9 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
             violations += 1
         preimage = [balls[0] ^ k for k in ker_span]
         witnesses.append(
-            ImplicationWitness(
-                label=GF2Vector(T.out_dim, label_bits),
-                hits=tuple(GF2Vector(u, x) for x in balls),
-                preimage=tuple(GF2Vector(u, x) for x in sorted(preimage)),
-                fiber=tuple(GF2Vector(T1.in_dim, x) for x in sorted(fiber)),
-                fiber_covered=covered,
-            )
+            ImplicationWitness(label=label_bits, hits=tuple(balls),
+                               preimage=tuple(sorted(preimage)),
+                               fiber=tuple(sorted(fiber)), fiber_covered=covered)
         )
     return ImplicationReport(tuple(witnesses), e2, violations)
 
@@ -860,14 +813,12 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     """
     if S.kind != "subspace":
         raise ValueError("ball set must be a subspace kind")
-    _check_map_vs_set(T, S)
+    tally = bin_counts(T, S)
     span_bits = S.basis_bits
     ker_bits = kernel_basis(T).basis_bits
     sum_rank = _rank_of_bits(span_bits + ker_bits)
     k = len(span_bits) + len(ker_bits) - sum_rank
     expected = 1 << k
-
-    tally = Counter(_images(T, _balls(S)))
     zero_count = tally[0]
     largest = max(tally.values())
     return SubspaceReport(

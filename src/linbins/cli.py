@@ -115,7 +115,10 @@ def _emit(args: argparse.Namespace, rows: list[dict], columns: list[str],
         doc = {"manifest": manifest, "rows": rows, "summary": summary}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -509,7 +512,7 @@ def cmd_table_bench(args: argparse.Namespace) -> int:
             S = generate_set(args.keys, args.u, n, rng)
         table = LinearHashTable(args.u, args.b, rng)
         if S is not None:
-            keys = S.members
+            keys = [GF2Vector(args.u, x) for x in S.member_bits]
             for i, key in enumerate(keys):
                 table.insert(key, i)
             for key in keys:

@@ -1,9 +1,9 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors are Python ints used as bitsets (bit i = coordinate i).  Maps and
-subspaces store them as ints; GF2Vector pairs one with its dimension where
-callers pass or receive vectors.  Matrices are stored row-major as packed
-words; applying a map is one AND plus a popcount parity per output bit.
+Vectors are Python ints used as bitsets (bit i = coordinate i), and maps,
+bases and sets store them so.  GF2Vector pairs one with its dimension as the
+key type of LinearHashTable.  Matrices are stored row-major as packed words;
+applying a map is one AND plus a popcount parity per output bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ def _trusted(cls: type[_V], **values: object) -> _V:
 
 @dataclass(frozen=True, slots=True)
 class GF2Vector:
-    """A dim-bit vector over GF(2), packed into an int (bit i = coordinate i)."""
+    """A dim-bit vector over GF(2), packed into an int (bit i = coordinate i).
+
+    The key type of LinearHashTable; everything else passes packed ints.
+    """
 
     dim: int
     bits: int
@@ -59,44 +62,6 @@ class GF2Vector:
         if self.bits < 0 or self.bits >> self.dim:
             raise ValueError(f"bits 0x{self.bits:x} not canonical for dim {self.dim}")
 
-    @classmethod
-    def from_bits(cls, coords: Iterable[int]) -> "GF2Vector":
-        """Build from coordinates, coords[i] becoming bit i."""
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coords), bits)
-
-    @classmethod
-    def zero(cls, dim: int) -> "GF2Vector":
-        return cls(dim, 0)
-
-    @classmethod
-    def unit(cls, dim: int, i: int) -> "GF2Vector":
-        """Standard basis vector with a single 1 at coordinate i."""
-        if not 0 <= i < dim:
-            raise ValueError(f"coordinate {i} out of range for dim {dim}")
-        return cls(dim, 1 << i)
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.dim))
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GF2Vector(self.dim, self.bits ^ other.bits)
-
-    # Addition over GF(2) is XOR.
-    __add__ = __xor__
-
-    def __str__(self) -> str:
-        return f"{self.bits:0{self.dim}b}"
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -104,7 +69,7 @@ class LinearMap:
 
     row_bits[i] is row i of the matrix A, packed (bit j = column j);
     translation_bits is the optional affine offset a (None means a linear
-    map, a = 0).  `rows` and `translation` are GF2Vector views of them.
+    map, a = 0).
     """
 
     in_dim: int
@@ -124,23 +89,6 @@ class LinearMap:
             raise ValueError(f"translation 0x{t:x} not canonical for out_dim {self.out_dim}")
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[GF2Vector], translation: GF2Vector | None = None
-    ) -> "LinearMap":
-        if not rows:
-            raise ValueError("a map needs at least one row")
-        in_dim = rows[0].dim
-        for r in rows:
-            if r.dim != in_dim:
-                raise ValueError(f"row dim {r.dim} != in_dim {in_dim}")
-        if translation is not None and translation.dim != len(rows):
-            raise ValueError(
-                f"translation dim {translation.dim} != out_dim {len(rows)}"
-            )
-        return cls(in_dim, len(rows), tuple(r.bits for r in rows),
-                   None if translation is None else translation.bits)
-
-    @classmethod
     def from_row_bits(
         cls,
         in_dim: int,
@@ -148,15 +96,6 @@ class LinearMap:
         translation_bits: int | None = None,
     ) -> "LinearMap":
         return cls(in_dim, len(row_bits), tuple(row_bits), translation_bits)
-
-    @property
-    def rows(self) -> tuple[GF2Vector, ...]:
-        return tuple(GF2Vector(self.in_dim, r) for r in self.row_bits)
-
-    @property
-    def translation(self) -> GF2Vector | None:
-        t = self.translation_bits
-        return None if t is None else GF2Vector(self.out_dim, t)
 
     @property
     def is_linear(self) -> bool:
@@ -177,20 +116,10 @@ class LinearMap:
         out = _apply_rows(self.row_bits, xbits)
         return out if self.translation_bits is None else out ^ self.translation_bits
 
-    def apply(self, x: GF2Vector) -> GF2Vector:
-        if x.dim != self.in_dim:
-            raise ValueError(f"input dim {x.dim} != in_dim {self.in_dim}")
-        return GF2Vector(self.out_dim, self.apply_bits(x.bits))
-
-    __call__ = apply
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Linearly independent packed vectors spanning a subspace (possibly empty).
-
-    `basis` is a GF2Vector view of basis_bits.
-    """
+    """Linearly independent packed vectors spanning a subspace (possibly empty)."""
 
     ambient_dim: int
     basis_bits: tuple[int, ...]
@@ -205,18 +134,6 @@ class SubspaceBasis:
                 )
         if _rank_of_bits(self.basis_bits) != len(self.basis_bits):
             raise ValueError("basis vectors are not linearly independent")
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int,
-                     vectors: Sequence[GF2Vector]) -> "SubspaceBasis":
-        for v in vectors:
-            if v.dim != ambient_dim:
-                raise ValueError(f"basis vector dim {v.dim} != ambient {ambient_dim}")
-        return cls(ambient_dim, tuple(v.bits for v in vectors))
-
-    @property
-    def basis(self) -> tuple[GF2Vector, ...]:
-        return tuple(GF2Vector(self.ambient_dim, v) for v in self.basis_bits)
 
     @property
     def dim(self) -> int:

@@ -550,6 +550,23 @@ class TestFailureExitCodes:
         assert err.startswith("usage error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--u", "4", "--b", "2", "--set-size", "3", "--trials", "2"],
+        ["bounds", "--formula", "e2"],
+    ])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, argv, target, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        if target == "directory":
+            out = tmp_path / "a-directory"
+            out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(out) in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == ([out] if target == "directory" else [])
+
     @pytest.mark.parametrize("sub,config", [
         ("simulate", {"u": 2, "b": 1, "set_size": 4, "jobs": 1.5}),
         ("simulate", {"u": 2, "b": 1, "set_size": 4, "trials": True}),

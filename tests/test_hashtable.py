@@ -46,7 +46,7 @@ class TestConstruction:
         counts = [0, 0, 0, 0]
         for i in range(n):
             t = LinearHashTable(6, 2, random.Random(i))
-            counts[t.hash_map.translation.bits] += 1
+            counts[t.hash_map.translation_bits] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.02
 
@@ -179,7 +179,7 @@ class TestStructure:
             seen.add(data.getrandbits(10))
         for k in seen:
             t.insert(GF2Vector(10, k), k)
-        S = BallSet.from_members(10, tuple(GF2Vector(10, k) for k in sorted(seen)), "random")
+        S = BallSet(10, tuple(sorted(seen)), "random")
         assert t.max_chain() == largest_bin(t.hash_map, S)
 
     def test_subspace_keys_chain_size(self):
@@ -194,7 +194,7 @@ class TestStructure:
         t = LinearHashTable(6, 3, rng, hash_map=hash_map)
         for x in span:
             t.insert(GF2Vector(6, x), x)
-        ker_bits = [v.bits for v in kernel_basis(hash_map).basis]
+        ker_bits = list(kernel_basis(hash_map).basis_bits)
         k = len(basis) + len(ker_bits) - _rank_of_bits(basis + ker_bits)
         assert t.max_chain() == 1 << k
 

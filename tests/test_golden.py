@@ -9,6 +9,8 @@ words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
 interval) of both sizes, and intervals that are not [0, 2^k) at u 32, b 16:
 100000 balls on the batch path, and 91 (0b1011011, bits spread) on the
 scalar path.
+The table-bench runs cover keys of one byte (one byte table) and of 70 bits
+(nine byte tables, the last one partial).
 The exact runs cover enumerated (interval, random, cluster) and linear sets,
 the interval [0, 2^k) among them, and an enumerated interval at u*b = 15.
 
@@ -77,6 +79,10 @@ GOLDEN = {
                            "--n", "0,64,512", "--seed", "4"],
     "table-bench-subspace": ["table-bench", "--u", "12", "--b", "2",
                              "--keys", "subspace", "--n", "64", "--seed", "4"],
+    "table-bench-u8-one-table": ["table-bench", "--u", "8", "--b", "2", "--keys", "random",
+                                 "--n", "200", "--seed", "4"],
+    "table-bench-u70-partial-byte": ["table-bench", "--u", "70", "--b", "3",
+                                     "--keys", "random", "--n", "300", "--seed", "4"],
 }
 
 

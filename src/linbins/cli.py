@@ -708,6 +708,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # float overflow, failed bound instantiation
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C or SIGINT; 128 + SIGINT, as a shell reports it
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

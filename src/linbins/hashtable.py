@@ -4,12 +4,16 @@ The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
 the uniform-map guarantee on bin sizes is restored after every resize.  The
 initial bucket count is held to 2^SIZE_GUARD_BITS; grows follow the key count.
-Every operation finds its key through one routine, _find, which XORs the
-map's per-byte table entries (LinearMap.byte_tables, built once per map) into
-the bucket and looks the key up among that chain's keys.  A grow rehashes all
-keys in one batch_apply_bits pass over their byte planes, which reads the
-same tables, appending the entries in their old order (bucket order, then
-chain order).  audit() re-checks every entry with the row-parity apply_bits.
+Each map comes with its bucket expression, compiled once when the map is set:
+one straight-line XOR of one entry per byte table of LinearMap.byte_tables,
+lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ ..., for every key width.  Every
+operation finds its key through one routine, _find, which evaluates that
+expression and looks the key up among the chain's keys; get and remove count
+their own hit and miss probes from _find's slot and chain.  A grow rehashes
+all keys in one batch_apply_bits pass over their byte planes, which reads
+the same tables, appending the entries in their old order (bucket order,
+then chain order).  audit() re-checks every entry with the row-parity
+apply_bits.
 
 Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
 in insertion order, and every empty bucket is the shared ().  Insert,
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .gf2 import (
     SIZE_GUARD_BITS,
@@ -35,6 +39,32 @@ from .gf2 import (
     batch_apply_bits,
     sample_uniform_affine,
 )
+
+
+def _xor_source(terms: list[str]) -> str:
+    """terms joined by ^, halved into parentheses so the nesting the compiler
+    recurses through grows with log2(len(terms)), not with len(terms)."""
+    if len(terms) <= 8:
+        return " ^ ".join(terms)
+    half = len(terms) // 2
+    return f"({_xor_source(terms[:half])}) ^ ({_xor_source(terms[half:])})"
+
+
+def _bucket_expression(tables: list[list[int]]) -> Callable[[int], int]:
+    """A function of a key's bits that XORs one entry of each byte table.
+
+    For three tables it is lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ t2[k >> 16],
+    with the tables bound as closure cells.  The source holds only names and
+    integer literals.  The last byte needs no mask, since a key has no bits
+    above the map's input width.
+    """
+    last = len(tables) - 1
+    terms = []
+    for c in range(len(tables)):
+        byte = f"k >> {8 * c}" if c else "k"
+        terms.append(f"t{c}[{byte} & 255]" if c < last else f"t{c}[{byte}]")
+    names = ", ".join(f"t{c}" for c in range(len(tables)))
+    return eval(f"lambda {names}: lambda k: {_xor_source(terms)}", {})(*tables)
 
 
 @dataclass(frozen=True)
@@ -99,8 +129,7 @@ class LinearHashTable:
 
     def _set_hash(self, T: LinearMap) -> None:
         self._hash = T
-        # _find reads this alias of T.byte_tables, one attribute load fewer a key
-        self._tables = T.byte_tables
+        self._bucket_of = _bucket_expression(T.byte_tables)
 
     def _find(self, key: GF2Vector) -> tuple[int, int, tuple, int]:
         """(key bits, bucket, chain, the key's slot in the chain or -1).
@@ -110,11 +139,8 @@ class LinearHashTable:
         """
         if key.dim != self._key_bits:
             raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
-        kbits = rest = key.bits
-        b = 0
-        for table in self._tables:
-            b ^= table[rest & 255]
-            rest >>= 8
+        kbits = key.bits
+        b = self._bucket_of(kbits)
         chain = self._buckets[b]
         keys = chain[::2]
         return kbits, b, chain, 2 * keys.index(kbits) if kbits in keys else -1
@@ -136,25 +162,24 @@ class LinearHashTable:
         self._size += 1
         return None
 
-    def _probe(self, key: GF2Vector) -> tuple[int, tuple, int]:
-        """_find's bucket, chain and slot, counting the probes."""
-        _, b, chain, i = self._find(key)
-        if i >= 0:
-            self._hit_lookups += 1
-            self._hit_probes += i // 2 + 1
-        else:
+    def get(self, key: GF2Vector) -> Any | None:
+        _, _, chain, i = self._find(key)
+        if i < 0:
             self._miss_lookups += 1
             self._miss_probes += len(chain) // 2
-        return b, chain, i
-
-    def get(self, key: GF2Vector) -> Any | None:
-        _, chain, i = self._probe(key)
-        return chain[i + 1] if i >= 0 else None
+            return None
+        self._hit_lookups += 1
+        self._hit_probes += i // 2 + 1
+        return chain[i + 1]
 
     def remove(self, key: GF2Vector) -> Any | None:
-        b, chain, i = self._probe(key)
+        _, b, chain, i = self._find(key)
         if i < 0:
+            self._miss_lookups += 1
+            self._miss_probes += len(chain) // 2
             return None
+        self._hit_lookups += 1
+        self._hit_probes += i // 2 + 1
         self._buckets[b] = chain[:i] + chain[i + 2 :]
         self._size -= 1
         return chain[i + 1]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from linbins import __version__, ballsbins
+from linbins import __version__, ballsbins, cli
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
 from linbins.gf2 import BytePlanes, SubspaceBasis
@@ -542,6 +542,17 @@ class TestFailureExitCodes:
         assert "4*(2/eps)^(8/eps)" in err
         assert "eps=0.01" in err
         assert "Traceback" not in err
+
+    def test_interrupt_exits_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "estimate_tail", interrupted)
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--u", "4", "--b", "2", "--set-size", "3", "--trials", "2"]
+        assert main(argv + ["--out", str(out)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

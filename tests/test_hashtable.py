@@ -233,16 +233,46 @@ class TestStructure:
             assert t.get(k) == v
 
     def test_probe_accounting(self):
-        t = LinearHashTable(8, 2, random.Random(17))
-        for i in range(4):
-            t.insert(key(i), i)
-        for i in range(4):
-            t.get(key(i))
-        s = t.stats()
-        assert s.hit_lookups == 4
-        assert s.mean_probes_hit >= 1.0
-        t.get(key(200))
-        assert t.stats().miss_lookups == 1
+        # 16 buckets hold at most 16 keys without a grow, so every chain keeps
+        # insertion order, and a dict (which keeps it too) models each chain:
+        # a hit costs its slot + 1 probes and a miss the chain's length
+        t = LinearHashTable(8, 4, random.Random(17))
+        T = t.hash_map
+        rng = random.Random(18)
+        pool = rng.sample(range(256), 40)
+        model = {}
+        while len(model) < 16:
+            k = rng.choice(pool)
+            t.insert(key(k), k)
+            model[k] = k
+        want = {"hit_lookups": 0, "hit_probes": 0, "miss_lookups": 0, "miss_probes": 0}
+
+        def lookup(k, remove):
+            chain = [x for x in model if T.apply_bits(x) == T.apply_bits(k)]
+            if k in chain:
+                want["hit_lookups"] += 1
+                want["hit_probes"] += chain.index(k) + 1
+            else:
+                want["miss_lookups"] += 1
+                want["miss_probes"] += len(chain)
+            got = t.remove(key(k)) if remove else t.get(key(k))
+            assert got == (model.pop(k, None) if remove else model.get(k))
+            s = t.stats()
+            assert (s.hit_lookups, s.miss_lookups) == (want["hit_lookups"], want["miss_lookups"])
+            for kind in ("hit", "miss"):
+                lookups, probes = want[f"{kind}_lookups"], want[f"{kind}_probes"]
+                assert getattr(s, f"mean_probes_{kind}") == (probes / lookups if lookups else 0.0)
+
+        for _ in range(200):
+            lookup(rng.choice(pool), remove=False)
+        assert want["hit_lookups"] > 0 and want["miss_probes"] > 0
+        gets = dict(want)
+        for k in pool:
+            lookup(k, remove=True)
+        assert want["hit_lookups"] - gets["hit_lookups"] == 16
+        assert want["miss_lookups"] - gets["miss_lookups"] == len(pool) - 16
+        assert want["miss_probes"] > gets["miss_probes"]
+        assert len(t) == 0 and t.stats().resizes == 0
 
     # sha256 of a seeded 6,000-op run (inserts, replaces, hits, misses,
     # membership tests and removes that empty chains, through 7 grows),
@@ -302,7 +332,7 @@ class TestTableBuckets:
             assert t._find(GF2Vector(t.key_bits, k))[1] == T.apply_bits(k)
 
     @pytest.mark.parametrize("supplied", [False, True])
-    @pytest.mark.parametrize("key_bits", [1, 7, 8, 9, 31, 32, 33, 64])
+    @pytest.mark.parametrize("key_bits", [1, 7, 8, 9, 31, 32, 33, 64, 65, 70, 130])
     def test_matches_apply_bits_and_dict(self, key_bits, supplied):
         rng = random.Random(1000 + key_bits)
         data = random.Random(2000 + key_bits)
@@ -349,6 +379,17 @@ class TestTableBuckets:
         assert t.get(some_key) == "replaced"
         assert (t.stats().resizes, t.bucket_bits) == (resizes, bucket_bits)
         t.audit()
+
+    def test_keys_of_5000_bytes(self):
+        # 5000 terms XORed in one flat chain nest deeper than the compiler
+        # allows; the bucket expression must still build and agree
+        rng = random.Random(5)
+        t = LinearHashTable(40_000, 1, rng)
+        pool = [rng.getrandbits(40_000) for _ in range(6)]
+        for i, k in enumerate(pool[:2]):
+            t.insert(GF2Vector(40_000, k), i)
+        self._check_placement(t, pool)
+        assert [t.get(GF2Vector(40_000, k)) for k in pool[:3]] == [0, 1, None]
 
 
 class TestGrowRehash:

@@ -9,6 +9,9 @@ words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
 interval) of both sizes, and intervals that are not [0, 2^k) at u 32, b 16:
 100000 balls on the batch path, and 91 (0b1011011, bits spread) on the
 scalar path.
+The rank route over a linear set's basis is pinned at a small dimension in a
+wide universe (u 70, d 5), at a large one (u 64, d 40), and at d = 0 (one
+ball).
 The table-bench runs cover keys of one byte (one byte table) and of 70 bits
 (nine byte tables, the last one partial).
 The exact runs cover enumerated (interval, random, cluster) and linear sets,
@@ -57,6 +60,12 @@ GOLDEN = {
                                             "--set", "interval", "--set-size", "100000"],
     "simulate-interval-u32-91": _SIM + ["200", "--u", "32", "--b", "16",
                                         "--set", "interval", "--set-size", "91"],
+    "simulate-affine-u70-d5": _SIM + ["200", "--u", "70", "--b", "3",
+                                      "--set", "affine", "--set-dim", "5"],
+    "simulate-subspace-u64-d40": _SIM + ["200", "--u", "64", "--b", "16",
+                                         "--set", "subspace", "--set-dim", "40"],
+    "simulate-affine-d0": _SIM + ["200", "--u", "4", "--b", "2",
+                                  "--set", "affine", "--set-dim", "0"],
     "exact-interval": ["exact", "--u", "3", "--b", "2", "--set", "interval",
                        "--set-size", "5", "--thresholds", "2,3"],
     "exact-random": ["exact", "--u", "4", "--b", "2", "--set", "random",

@@ -38,6 +38,7 @@ from .gf2 import (
     _word_format,
     _xor_select,
     all_matrices,
+    apply_expression,
     batch_apply_bits,
     byte_apply_tables,  # noqa: F401  kept importable here: perfbench traces this name
     compose,
@@ -74,9 +75,18 @@ def derive_seed(master_seed: int, *path: object) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:16], "big")
 
 
-def substream(master_seed: int, *path: object) -> random.Random:
-    """Independent reproducible generator for one labelled substream."""
-    return random.Random(derive_seed(master_seed, *path))
+def substream(master_seed: int, *path: object,
+              rng: random.Random | None = None) -> random.Random:
+    """Independent reproducible generator for one labelled substream.
+
+    Given rng, reseeds it in place and returns it: rng.seed also resets its
+    gauss_next, so the stream is the one a new generator would give.
+    """
+    seed = derive_seed(master_seed, *path)
+    if rng is None:
+        return random.Random(seed)
+    rng.seed(seed)
+    return rng
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -401,19 +411,21 @@ def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | Sequence[int]:
     return _balls(S) if basis is None else basis
 
 
-def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[int]) -> int:
+def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[int],
+                    apply_basis: Callable[[int], int] | None = None) -> int:
     """Largest bin of T over balls, as given by `_lbin_balls`.
 
     On a linear set with basis B of dimension d every nonempty bin is a coset
     of span(B) meet Ker(T), so the largest bin is 2^(d - rank(T B)).  Only
     T's linear part enters: a translation permutes the bins.  Row i of T B
-    is B applied to row i of T; the rows are made one at a time, and none
-    after the rank reaches its ceiling min(b, d).
+    is B^T applied to row i of T: by apply_basis, B^T compiled by a caller
+    that reads many maps, else by the row-parity loop.  The rows are made
+    one at a time, and none after the rank reaches its ceiling min(b, d).
     """
     if isinstance(balls, SubspaceBasis):
         basis = balls.basis_bits
         d = len(basis)
-        rows = map(partial(_apply_rows, basis), T.row_bits)
+        rows = map(apply_basis or partial(_apply_rows, basis), T.row_bits)
         return 1 << (d - _rank_of_bits(rows, min(d, T.out_dim)))
     return _largest_load(_images(T, balls), T.out_dim)
 
@@ -655,12 +667,21 @@ def build_ball_set(config: ExperimentConfig) -> BallSet:
 
 
 def _trial_chunk(args: tuple) -> list[int]:
+    """The largest bins of trials start..stop-1, one fresh map each.
+
+    One generator is reseeded for every trial's substream.  On a linear set
+    B^T is compiled here, once per chunk, and never travels to a pool worker.
+    """
     master_seed, universe_dim, bin_dim, balls, start, stop = args
+    apply_basis = None
+    if isinstance(balls, SubspaceBasis) and balls.dim:
+        apply_basis = apply_expression(LinearMap(universe_dim, balls.dim, balls.basis_bits))
+    rng = random.Random()
     out = []
     for i in range(start, stop):
-        rng = substream(master_seed, "trial", i)
+        substream(master_seed, "trial", i, rng=rng)
         T = sample_uniform_linear(universe_dim, bin_dim, rng)
-        out.append(_largest_bin_of(T, balls))
+        out.append(_largest_bin_of(T, balls, apply_basis))
     return out
 
 

@@ -109,7 +109,8 @@ def _emit(args: argparse.Namespace, rows: list[dict], columns: list[str],
     manifest = _manifest(args)
     if args.format == "csv":
         lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(columns)]
-        lines += [",".join(str(row.get(col, "")) for col in columns) for row in rows]
+        lines += [",".join([str(row[col]) if col in row else "" for col in columns])
+                  for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         doc = {"manifest": manifest, "rows": rows, "summary": summary}
@@ -359,13 +360,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _check_composition_uniformity(rng, samples, inject_fault=False):
     u, f, b = 2, 2, 1
     T1 = sample_surjective(f, b, rng)
+    inner = Counter(sample_uniform_linear(u, f, rng).row_bits for _ in range(samples))
     tally = Counter()
-    for _ in range(samples):
-        T0 = sample_uniform_linear(u, f, rng)
-        key = compose(T1, T0).row_bits
+    # at most 2^(u f) = 16 distinct inner maps, each composed once
+    for rows, count in inner.items():
+        key = compose(T1, _trusted(LinearMap, in_dim=u, out_dim=f, row_bits=rows)).row_bits
         if inject_fault:
             key = (key[0] | 1,) + key[1:]  # stuck bit collapses half the maps
-        tally[key] += 1
+        tally[key] += count
     cells = list(all_matrices(u, b))
     observed = [tally.get(c, 0) for c in cells]
     expected = [samples / len(cells)] * len(cells)

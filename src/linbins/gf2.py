@@ -13,7 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 
 class SizeGuardError(ValueError):
@@ -330,6 +330,51 @@ def byte_apply_tables(T: LinearMap) -> list[list[int]]:
             table += [v ^ col for v in table]
         tables.append(table)
     return tables
+
+
+def _xor_source(terms: list[str]) -> str:
+    """terms joined by ^, halved into parentheses so the nesting the compiler
+    recurses through grows with log2(len(terms)), not with len(terms)."""
+    if len(terms) <= 8:
+        return " ^ ".join(terms)
+    half = len(terms) // 2
+    return f"({_xor_source(terms[:half])}) ^ ({_xor_source(terms[half:])})"
+
+
+def apply_expression(T: LinearMap) -> Callable[[int], int]:
+    """T.apply_bits compiled into one straight-line expression of the input k.
+
+    It takes whichever form has fewer terms, the byte tables on a tie:
+    - one entry of each of T.byte_tables (the translation is folded into
+      table 0): lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ t2[k >> 16];
+    - one row parity per output bit, plus the translation unless it is None
+      (as in apply_bits, a sampled translation of 0 still counts):
+      lambda k: ((k & r0).bit_count() & 1) ^ ((k & r1).bit_count() & 1) << 1 ^ a.
+    Tables, rows and translation are bound as closure cells, so the source
+    holds only names and integer literals.  The last byte needs no mask,
+    since an input has no bits above in_dim.  Building costs an eval, so
+    build once per map and apply it many times.
+    """
+    nbytes = -(-T.in_dim // 8)
+    shift = T.translation_bits
+    names, terms = [], []
+    if nbytes <= T.out_dim + (shift is not None):
+        values = T.byte_tables
+        for c in range(nbytes):
+            byte = f"k >> {8 * c}" if c else "k"
+            names.append(f"t{c}")
+            terms.append(f"t{c}[{byte} & 255]" if c < nbytes - 1 else f"t{c}[{byte}]")
+    else:
+        values = list(T.row_bits)
+        for i in range(T.out_dim):
+            names.append(f"r{i}")
+            terms.append(f"((k & r{i}).bit_count() & 1) << {i}" if i
+                         else "((k & r0).bit_count() & 1)")
+        if shift is not None:
+            values.append(shift)
+            names.append("a")
+            terms.append("a")
+    return eval(f"lambda {', '.join(names)}: lambda k: {_xor_source(terms)}", {})(*values)
 
 
 _WORD_MASK = (1 << 64) - 1

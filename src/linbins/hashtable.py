@@ -4,14 +4,15 @@ The bucket of a key is its image under a randomly sampled affine GF(2) map.
 Growing doubles the bucket count, resamples the whole map, and rehashes, so
 the uniform-map guarantee on bin sizes is restored after every resize.  The
 initial bucket count is held to 2^SIZE_GUARD_BITS; grows follow the key count.
-Each map comes with its bucket expression, compiled once when the map is set:
-one straight-line XOR of one entry per byte table of LinearMap.byte_tables,
-lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ ..., for every key width.  Every
+Each map comes with its bucket expression, compiled once when the map is set
+by gf2.apply_expression: one straight-line XOR, of one entry per byte table
+of LinearMap.byte_tables (lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ ...) or
+of one row parity per bucket bit, whichever has fewer terms.  Every
 operation finds its key through one routine, _find, which evaluates that
 expression and looks the key up among the chain's keys; get and remove count
 their own hit and miss probes from _find's slot and chain.  A grow rehashes
 all keys in one batch_apply_bits pass over their byte planes, which reads
-the same tables, appending the entries in their old order (bucket order,
+the map's byte tables, appending the entries in their old order (bucket order,
 then chain order).  audit() re-checks every entry with the row-parity
 apply_bits.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .gf2 import (
     SIZE_GUARD_BITS,
@@ -36,35 +37,10 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
+    apply_expression,
     batch_apply_bits,
     sample_uniform_affine,
 )
-
-
-def _xor_source(terms: list[str]) -> str:
-    """terms joined by ^, halved into parentheses so the nesting the compiler
-    recurses through grows with log2(len(terms)), not with len(terms)."""
-    if len(terms) <= 8:
-        return " ^ ".join(terms)
-    half = len(terms) // 2
-    return f"({_xor_source(terms[:half])}) ^ ({_xor_source(terms[half:])})"
-
-
-def _bucket_expression(tables: list[list[int]]) -> Callable[[int], int]:
-    """A function of a key's bits that XORs one entry of each byte table.
-
-    For three tables it is lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ t2[k >> 16],
-    with the tables bound as closure cells.  The source holds only names and
-    integer literals.  The last byte needs no mask, since a key has no bits
-    above the map's input width.
-    """
-    last = len(tables) - 1
-    terms = []
-    for c in range(len(tables)):
-        byte = f"k >> {8 * c}" if c else "k"
-        terms.append(f"t{c}[{byte} & 255]" if c < last else f"t{c}[{byte}]")
-    names = ", ".join(f"t{c}" for c in range(len(tables)))
-    return eval(f"lambda {names}: lambda k: {_xor_source(terms)}", {})(*tables)
 
 
 @dataclass(frozen=True)
@@ -129,7 +105,7 @@ class LinearHashTable:
 
     def _set_hash(self, T: LinearMap) -> None:
         self._hash = T
-        self._bucket_of = _bucket_expression(T.byte_tables)
+        self._bucket_of = apply_expression(T)
 
     def _find(self, key: GF2Vector) -> tuple[int, int, tuple, int]:
         """(key bits, bucket, chain, the key's slot in the chain or -1).

@@ -15,6 +15,7 @@ from linbins.ballsbins import (
     BATCH_MIN,
     BallSet,
     ExperimentConfig,
+    LINEAR_KINDS,
     PairwiseReport,
     SET_KINDS,
     bin_counts,
@@ -75,6 +76,15 @@ class TestSeeding:
         a = substream(7, "trial", 3).getrandbits(64)
         b = substream(7, "trial", 3).getrandbits(64)
         assert a == b
+
+    def test_reseeded_generator_gives_the_fresh_stream(self):
+        rng = random.Random(0)
+        rng.gauss(0.0, 1.0)  # leaves a second normal cached in gauss_next
+        for i in range(3):
+            fresh = substream(7, "trial", i)
+            assert substream(7, "trial", i, rng=rng) is rng
+            assert [rng.gauss(0.0, 1.0), rng.getrandbits(64)] == [
+                fresh.gauss(0.0, 1.0), fresh.getrandbits(64)]
 
     def test_substreams_differ(self):
         seeds = {derive_seed(7, "trial", i) for i in range(100)}
@@ -460,6 +470,29 @@ class TestRankRoute:
         T = LinearMap.from_row_bits(5, [1, 2, 4, 8, 16])
         assert largest_bin(T, S) == 1
         assert ballsbins._largest_bin_of(SimpleNamespace(row_bits=rows(), out_dim=5), B) == 1
+
+    def test_compiled_rows_past_full_rank_are_not_made(self):
+        B = BallSet(5, None, "subspace", (1, 2, 4)).linear_basis
+
+        def rows():
+            yield from (1, 2, 4)
+            raise AssertionError("made a row of T B past full rank")
+
+        T = SimpleNamespace(row_bits=rows(), out_dim=5)
+        assert ballsbins._largest_bin_of(T, B, gf2.apply_expression(LinearMap(5, 3, (1, 2, 4)))) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trial_chunk_on_basis_matches_counting(self, data):
+        u = data.draw(st.integers(1, 70), label="u")
+        d = data.draw(st.integers(0, min(u, 10)), label="d")
+        b = data.draw(st.integers(1, d + 2), label="b")
+        kind = data.draw(st.sampled_from(LINEAR_KINDS), label="kind")
+        S = generate_set(kind, u, d, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+        start = data.draw(st.integers(0, 1000), label="start")
+        by_rank = ballsbins._trial_chunk((9, u, b, S.linear_basis, start, start + 6))
+        by_count = ballsbins._trial_chunk((9, u, b, S.member_bits, start, start + 6))
+        assert by_rank == by_count
 
     @pytest.mark.parametrize("kind,arg", [("subspace", 5), ("affine", 3), ("interval", 512)])
     def test_trials_match_counting(self, kind, arg):

@@ -130,6 +130,17 @@ class TestSimulate:
         assert len(data_rows(a)) > 12
         assert data_rows(a) == data_rows(b)
 
+    def test_jobs_do_not_change_rows_on_rank_route(self, tmp_path, monkeypatch):
+        # an affine set's trials read the rank route, whose compiled B^T is
+        # built inside each pool task; two CPUs make the pool run
+        monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 2)
+        argv = ["simulate", "--u", "32", "--b", "16", "--set", "affine", "--set-dim", "3",
+                "--trials", "40", "--thresholds", "2,4", "--seed", "5"]
+        _, a = run_to_file(tmp_path, "a.csv", argv + ["--jobs", "1"])
+        _, b = run_to_file(tmp_path, "b.csv", argv + ["--jobs", "2"])
+        assert len(data_rows(a)) > 40
+        assert data_rows(a) == data_rows(b)
+
     @pytest.mark.parametrize("cpus,workers", [(64, 10), (3, 3), (1, None), (None, None)])
     def test_pool_capped_by_cpus_and_trials(self, cpus, workers, tmp_path, monkeypatch):
         pools = []

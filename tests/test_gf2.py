@@ -20,6 +20,7 @@ from linbins.gf2 import (
     _rank_of_bits,
     _section_columns,
     all_matrices,
+    apply_expression,
     batch_apply_bits,
     complement_basis,
     compose,
@@ -137,6 +138,54 @@ class TestApply:
         x = data.draw(st.integers(0, hi))
         y = data.draw(st.integers(0, hi))
         assert T.apply_bits(x ^ y) == T.apply_bits(x) ^ T.apply_bits(y)
+
+
+def expression_form(fn):
+    """'bytes' or 'parity': the form apply_expression emitted, by its cells' names."""
+    return "bytes" if fn.__code__.co_freevars[0].startswith("t") else "parity"
+
+
+class TestApplyExpression:
+    @pytest.mark.parametrize("in_dim", list(range(1, 71)) + [130])
+    def test_equals_apply_bits(self, in_dim):
+        rng = random.Random(300 + in_dim)
+        nbytes = -(-in_dim // 8)
+        for out_dim in range(1, 41):
+            for T in (sample_uniform_linear(in_dim, out_dim, rng),
+                      sample_uniform_affine(in_dim, out_dim, rng)):
+                fn = apply_expression(T)
+                # fewer terms wins; a tie goes to the byte tables
+                parity_terms = out_dim + (T.translation_bits is not None)
+                assert expression_form(fn) == ("bytes" if nbytes <= parity_terms else "parity")
+                xs = [0, (1 << in_dim) - 1] + [rng.getrandbits(in_dim) for _ in range(4)]
+                assert [fn(x) for x in xs] == [T.apply_bits(x) for x in xs]
+
+    def test_zero_translation_counts_as_a_term(self):
+        # apply_bits XORs a translation of 0 in, and so does the parity form
+        rows = (0b1011_0110_1110_0001,)
+        assert expression_form(apply_expression(LinearMap(16, 1, rows))) == "parity"
+        assert expression_form(apply_expression(LinearMap(16, 1, rows, 0))) == "bytes"
+
+    @pytest.mark.parametrize("in_dim,dim,form", [(32, 3, "parity"), (70, 5, "parity"),
+                                                 (64, 40, "bytes"), (4096, 8, "parity")])
+    def test_basis_transpose_shapes(self, in_dim, dim, form):
+        # the rank route applies B^T = LinearMap(u, d, B) to the rows of T
+        rng = random.Random(in_dim + dim)
+        B = LinearMap(in_dim, dim, tuple(rng.getrandbits(in_dim) for _ in range(dim)))
+        fn = apply_expression(B)
+        assert expression_form(fn) == form
+        xs = [rng.getrandbits(in_dim) for _ in range(20)]
+        assert [fn(x) for x in xs] == [B.apply_bits(x) for x in xs]
+
+    def test_thousands_of_terms_compile(self):
+        # 3000 terms XORed in one flat chain nest deeper than the compiler
+        # allows; the expression is nested in halves instead
+        rng = random.Random(19)
+        T = sample_uniform_linear(8 * 3002, 3000, rng)
+        fn = apply_expression(T)
+        assert expression_form(fn) == "parity"
+        xs = [rng.getrandbits(T.in_dim) for _ in range(3)]
+        assert [fn(x) for x in xs] == [T.apply_bits(x) for x in xs]
 
 
 class TestBatchApply:

@@ -381,8 +381,9 @@ class TestTableBuckets:
         t.audit()
 
     def test_keys_of_5000_bytes(self):
-        # 5000 terms XORed in one flat chain nest deeper than the compiler
-        # allows; the bucket expression must still build and agree
+        # one bucket bit: the bucket expression takes the row-parity form, not
+        # 5000 byte tables (test_gf2 compiles thousands of terms); it must
+        # still build and agree
         rng = random.Random(5)
         t = LinearHashTable(40_000, 1, rng)
         pool = [rng.getrandbits(40_000) for _ in range(6)]

@@ -356,9 +356,9 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
     build once per map and apply it many times.
     """
     nbytes = -(-T.in_dim // 8)
-    shift = T.translation_bits
+    translation = T.translation_bits
     names, terms = [], []
-    if nbytes <= T.out_dim + (shift is not None):
+    if nbytes <= T.out_dim + (translation is not None):
         values = T.byte_tables
         for c in range(nbytes):
             byte = f"k >> {8 * c}" if c else "k"
@@ -370,8 +370,8 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
             names.append(f"r{i}")
             terms.append(f"((k & r{i}).bit_count() & 1) << {i}" if i
                          else "((k & r0).bit_count() & 1)")
-        if shift is not None:
-            values.append(shift)
+        if translation is not None:
+            values.append(translation)
             names.append("a")
             terms.append("a")
     return eval(f"lambda {', '.join(names)}: lambda k: {_xor_source(terms)}", {})(*values)

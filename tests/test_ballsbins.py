@@ -479,7 +479,8 @@ class TestRankRoute:
             raise AssertionError("made a row of T B past full rank")
 
         T = SimpleNamespace(row_bits=rows(), out_dim=5)
-        assert ballsbins._largest_bin_of(T, B, gf2.apply_expression(LinearMap(5, 3, (1, 2, 4)))) == 1
+        apply_basis = gf2.apply_expression(LinearMap(5, 3, (1, 2, 4)))
+        assert ballsbins._largest_bin_of(T, B, apply_basis) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,5 +1,6 @@
 """Tests for ball-set generation, bin measurement, events, and estimation."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -836,6 +837,28 @@ class TestImplication:
             assert len(w.fiber) == 1 << (3 - 2)
             assert len(w.preimage) == 1 << (4 - rank(T))
             assert set(w.hits) <= set(w.preimage)
+
+    # sha256 over repr((witnesses as (label, hits, fiber_covered), e2_occurred,
+    # violations)) + "\n" for each of 300 instances drawn from Random(2718).
+    WITNESS_DIGEST = "b012207164ecbe5ac94516f4341caea5147f59ae27477e4dcd51232a2217ef56"
+
+    def test_witness_digest_pinned(self):
+        rng = random.Random(2718)
+        h = hashlib.sha256()
+        covered = []
+        for _ in range(300):
+            u = rng.randint(2, 5)
+            f = rng.randint(1, min(u, 4))
+            b = rng.randint(1, min(f, 3))
+            S = generate_set("random", u, rng.randint(1, 1 << u), rng)
+            T0 = sample_uniform_linear(u, f, rng)
+            T1 = sample_surjective(f, b, rng)
+            report = check_e1_e2_implication(S, T0, T1, rng.randint(1, S.size + 1))
+            witnesses = tuple((w.label, w.hits, w.fiber_covered) for w in report.witnesses)
+            covered += [w.fiber_covered for w in report.witnesses]
+            h.update(repr((witnesses, report.e2_occurred, report.violations)).encode() + b"\n")
+        assert set(covered) == {False, True}  # both outcomes are pinned
+        assert h.hexdigest() == self.WITNESS_DIGEST
 
     def test_randomized_no_violations(self):
         rng = random.Random(8)

@@ -392,13 +392,17 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "nope"]) == 1
 
-    @pytest.mark.parametrize("argv,golden", [
-        (["verify"], "verify-default.txt"),
-        (["verify", "--seed", "7"], "verify-seed7.txt"),
+    @pytest.mark.parametrize("argv,golden,code", [
+        (["verify"], "verify-default.txt", 0),
+        (["verify", "--seed", "7"], "verify-seed7.txt", 0),
+        (["verify", "--seed", "99", "--samples", "3000", "--instances", "300"],
+         "verify-seed99-s3000-i300.txt", 0),
+        (["verify", "--check", "composition-uniformity", "--samples", "3000",
+          "--inject-fault"], "verify-composition-fault.txt", 3),
     ])
-    def test_stdout_pinned(self, argv, golden, capsys, monkeypatch):
+    def test_stdout_pinned(self, argv, golden, code, capsys, monkeypatch):
         monkeypatch.delenv("LINBINS_SEED", raising=False)
-        assert main(argv) == 0
+        assert main(argv) == code
         assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize("flag", [

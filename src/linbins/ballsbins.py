@@ -23,6 +23,7 @@ from itertools import islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gf2 import (
+    BATCH_MIN,
     SIZE_GUARD_BITS,
     BytePlanes,
     LinearMap,
@@ -54,11 +55,6 @@ LINEAR_KINDS = ("subspace", "affine")
 
 # The E2 check marks a 2^f-byte coverage array over the intermediate space.
 EVENT_DIM_CAP = 24
-
-# From this many balls on, an apply pass runs the batch kernel on byte planes;
-# below it the per-map table build costs more than scalar applies.  Measured
-# up to 32x32 maps, the kernel wins at 128 balls but can lose at 64.
-BATCH_MIN = 128
 
 RNG_ALGORITHM = "python-random-mt19937"
 SEED_SCHEME = "sha256(master/label/index)"
@@ -536,14 +532,12 @@ def event_e2_direct(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
 
 @dataclass(frozen=True)
 class ImplicationWitness:
-    """One overloaded bin label with the sets the implication argument uses,
-    all packed."""
+    """One overloaded bin label and what the implication argument reads of it,
+    packed."""
 
     label: int
     hits: tuple[int, ...]       # balls mapped to the label by the composite
-    preimage: tuple[int, ...]   # full composite preimage of the label
-    fiber: tuple[int, ...]      # outer-map fiber of the label
-    fiber_covered: bool         # inner images of the hits cover the fiber
+    fiber_covered: bool         # inner images of the hits cover the label's outer fiber
 
 
 @dataclass(frozen=True)
@@ -581,22 +575,15 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     overloaded = [(label_bits, balls) for label_bits, balls in sorted(by_label.items())
                   if len(balls) >= ell]
     if overloaded:
-        # only witnesses read the kernel span, so a clean run never builds it
-        ker = kernel_basis(T)
-        _check_guard(ker.dim, "composite preimage enumeration")
-        ker_span = ker.span_bits()
+        # only witnesses read the fibers, so a clean run never builds T1's kernel span
         fiber_of = _fibers(T1)
     for label_bits, balls in overloaded:
-        fiber = fiber_of(label_bits)
         inner_images = set(_images(T0, balls))
-        covered = all(x in inner_images for x in fiber)
+        covered = all(x in inner_images for x in fiber_of(label_bits))
         if covered and not e2:
             violations += 1
-        preimage = [balls[0] ^ k for k in ker_span]
         witnesses.append(
-            ImplicationWitness(label=label_bits, hits=tuple(balls),
-                               preimage=tuple(sorted(preimage)),
-                               fiber=tuple(sorted(fiber)), fiber_covered=covered)
+            ImplicationWitness(label=label_bits, hits=tuple(balls), fiber_covered=covered)
         )
     return ImplicationReport(tuple(witnesses), e2, violations)
 

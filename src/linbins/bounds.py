@@ -8,7 +8,6 @@ mark vacuous regimes), and report tables cap them at 1 themselves.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def _check_eps(eps: float) -> None:
@@ -16,19 +15,27 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
-@lru_cache(maxsize=None)
+# eps -> c_epsilon(eps) for every eps that passed its checks; a bad eps is
+# never stored, so each call with one raises again.
+_C_EPSILON: dict[float, float] = {}
+
+
 def c_epsilon(eps: float) -> float:
-    """The coverage constant 4 * (2/eps)^(8/eps).
+    """The coverage constant 4 * (2/eps)^(8/eps), computed once per eps.
 
     Grows brutally as eps shrinks; already 2^34 at eps = 1/2.
     """
-    _check_eps(eps)
-    try:
-        return 4.0 * (2.0 / eps) ** (8.0 / eps)
-    except OverflowError:
-        raise OverflowError(
-            f"c_epsilon = 4*(2/eps)^(8/eps) overflows a float at eps={eps}"
-        ) from None
+    value = _C_EPSILON.get(eps)  # an unhashable eps raises TypeError here
+    if value is None:
+        _check_eps(eps)
+        try:
+            value = 4.0 * (2.0 / eps) ** (8.0 / eps)
+        except OverflowError:
+            raise OverflowError(
+                f"c_epsilon = 4*(2/eps)^(8/eps) overflows a float at eps={eps}"
+            ) from None
+        _C_EPSILON[eps] = value
+    return value
 
 
 def bound_surjective_miss(universe_dim: int, target_dim: int,
@@ -109,8 +116,8 @@ def tail_bound_parameters(bin_dim: int, r: float, eps: float) -> tuple[int, int]
         raise ValueError("bin dimension must be >= 1")
     if r < 4:
         raise ValueError(f"r must be >= 4, got {r}")
-    # c_epsilon checks eps on every call: lru_cache never caches an exception.
-    c_eps = c_epsilon(eps)
+    # a stored value is nonzero, and only an eps that passed the checks has one
+    c_eps = _C_EPSILON.get(eps) or c_epsilon(eps)
     lg = math.log2(r)
     inter_dim = math.floor(bin_dim + lg - math.log2(lg) + 1)
     try:

@@ -59,6 +59,7 @@ from .gf2 import (
     LinearMap,
     SizeGuardError,
     _trusted,
+    _uniform_rows,
     all_matrices,
     compose,
     count_factorizations,
@@ -360,7 +361,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _check_composition_uniformity(rng, samples, inject_fault=False):
     u, f, b = 2, 2, 1
     T1 = sample_surjective(f, b, rng)
-    inner = Counter(sample_uniform_linear(u, f, rng).row_bits for _ in range(samples))
+    inner = Counter(_uniform_rows(u, f, rng) for _ in range(samples))
     tally = Counter()
     # at most 2^(u f) = 16 distinct inner maps, each composed once
     for rows, count in inner.items():

@@ -13,6 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence, TypeVar
 
 
@@ -377,6 +378,11 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
     return eval(f"lambda {', '.join(names)}: lambda k: {_xor_source(terms)}", {})(*values)
 
 
+# From this many inputs on, an apply pass runs batch_apply_bits on byte planes;
+# below it the per-map table build costs more than scalar applies.  Measured
+# up to 32x32 maps, the kernel wins at 128 inputs but can lose at 64.
+BATCH_MIN = 128
+
 _WORD_MASK = (1 << 64) - 1
 # array typecodes for an output word of 1, 2, 4 or 8 bytes
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -476,12 +482,23 @@ def all_matrices(in_dim: int, out_dim: int) -> Iterable[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_rows(in_dim: int, out_dim: int, rng: random.Random) -> tuple[int, ...]:
+    """The packed rows of a uniform out_dim x in_dim matrix: out_dim calls of
+    rng.getrandbits(in_dim), row 0 first.  For callers that read only rows.
+
+    Built from a list: tuple() of the bare map would grow its tuple by
+    resizing, which bypasses CPython's tuple free lists, so every freed row
+    tuple would park there (up to 2,000 per length) instead of being reused.
+    """
+    return tuple([*map(rng.getrandbits, repeat(in_dim, out_dim))])
+
+
 def sample_uniform_linear(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:
     """Uniform over all 2^(in_dim*out_dim) matrices: every bit an independent coin."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError("map dimensions must be >= 1")
-    rows = tuple([rng.getrandbits(in_dim) for _ in range(out_dim)])
-    return _trusted(LinearMap, in_dim=in_dim, out_dim=out_dim, row_bits=rows)
+    return _trusted(LinearMap, in_dim=in_dim, out_dim=out_dim,
+                    row_bits=_uniform_rows(in_dim, out_dim, rng))
 
 
 def sample_uniform_affine(in_dim: int, out_dim: int, rng: random.Random) -> LinearMap:

@@ -10,10 +10,12 @@ of LinearMap.byte_tables (lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ ...) or
 of one row parity per bucket bit, whichever has fewer terms.  Every
 operation finds its key through one routine, _find, which evaluates that
 expression and looks the key up among the chain's keys; get and remove count
-their own hit and miss probes from _find's slot and chain.  A grow rehashes
-all keys in one batch_apply_bits pass over their byte planes, which reads
-the map's byte tables, appending the entries in their old order (bucket order,
-then chain order).  audit() re-checks every entry with the row-parity
+their own hit and miss probes from _find's slot and chain.  A grow of at
+least BATCH_MIN keys rehashes them in one batch_apply_bits pass over their
+byte planes, which reads the map's byte tables; a smaller grow runs the
+bucket expression key by key, so it builds no table it would not read.
+Either way the entries are appended in their old order (bucket order, then
+chain order).  audit() re-checks every entry with the row-parity
 apply_bits.
 
 Each chain is one flat tuple (k0, v0, k1, v1, ...) of key bits and values
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .gf2 import (
+    BATCH_MIN,
     SIZE_GUARD_BITS,
     BytePlanes,
     GF2Vector,
@@ -177,7 +180,10 @@ class LinearHashTable:
         # the old chains are freed here, before the images are made
         buckets: list[tuple] = [()] * (1 << self._bucket_bits)
         self._buckets = buckets
-        images = batch_apply_bits(self._hash, BytePlanes.from_bits(keys, self._key_bits))
+        if len(keys) < BATCH_MIN:
+            images = map(self._bucket_of, keys)
+        else:
+            images = batch_apply_bits(self._hash, BytePlanes.from_bits(keys, self._key_bits))
         for b, kbits, value in zip(images, keys, values):
             buckets[b] += (kbits, value)
         self._resizes += 1

@@ -796,23 +796,22 @@ class TestImplication:
         assert report.ok
 
     def test_clean_run_builds_no_kernel_span(self):
-        # the composite kernel has dimension 36, past the 2^22 guard; a run in
-        # which no label reaches ell never enumerates it, so it neither
-        # refuses nor allocates 2^36 of anything
+        # the composite kernel has dimension 36, past the 2^22 guard; witnesses
+        # hold only their hits, so neither a clean run nor one in which every
+        # label is overloaded enumerates it or allocates 2^36 of anything
         rng = random.Random(9)
         S = generate_set("random", 40, 50, rng)
         T0 = sample_surjective(40, 8, rng)
         T1 = sample_surjective(8, 4, rng)
-        tracemalloc.start()
-        try:
-            report = check_e1_e2_implication(S, T0, T1, 10 ** 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.witnesses == () and report.ok
-        assert peak < 1 << 20
-        with pytest.raises(SizeGuardError, match="composite preimage"):
-            check_e1_e2_implication(S, T0, T1, 1)
+        for ell, overloaded in ((10 ** 6, False), (1, True)):
+            tracemalloc.start()
+            try:
+                report = check_e1_e2_implication(S, T0, T1, ell)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert bool(report.witnesses) == overloaded and report.ok
+            assert peak < 1 << 20
 
     def test_full_universe_example(self):
         S = full_universe(3)
@@ -825,18 +824,24 @@ class TestImplication:
             assert report.witnesses  # 8 balls into 2 bins always overloads
 
     def test_witness_set_sizes(self):
-        S = full_universe(4)
+        # each hit lands on its label under the composite, and fiber_covered
+        # agrees with a scan of all 2^f intermediate points
         rng = random.Random(7)
-        T0 = sample_uniform_linear(4, 3, rng)
-        T1 = sample_surjective(3, 2, rng)
-        from linbins.gf2 import compose, rank
-
-        T = compose(T1, T0)
-        report = check_e1_e2_implication(S, T0, T1, 1)
-        for w in report.witnesses:
-            assert len(w.fiber) == 1 << (3 - 2)
-            assert len(w.preimage) == 1 << (4 - rank(T))
-            assert set(w.hits) <= set(w.preimage)
+        seen = set()
+        for _ in range(40):
+            S = generate_set("random", 4, rng.randint(4, 16), rng)
+            T0 = sample_uniform_linear(4, 3, rng)
+            T1 = sample_surjective(3, 2, rng)
+            T = compose(T1, T0)
+            report = check_e1_e2_implication(S, T0, T1, 1)
+            assert {x for w in report.witnesses for x in w.hits} == set(S.member_bits)
+            for w in report.witnesses:
+                assert all(T.apply_bits(x) == w.label for x in w.hits)
+                inner = {T0.apply_bits(x) for x in w.hits}
+                fiber = [z for z in range(1 << 3) if T1.apply_bits(z) == w.label]
+                assert w.fiber_covered == all(z in inner for z in fiber)
+                seen.add(w.fiber_covered)
+        assert seen == {False, True}
 
     # sha256 over repr((witnesses as (label, hits, fiber_covered), e2_occurred,
     # violations)) + "\n" for each of 300 instances drawn from Random(2718).

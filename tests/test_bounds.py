@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from linbins import bounds
 from linbins.bounds import (
     bound_e2,
     bound_surjective_miss,
@@ -229,6 +230,21 @@ class TestTailParameters:
                 tail_bound_parameters(*args)
             assert type(info.value) is error
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("eps, error", [
+        (0, ValueError), (1, ValueError), (1.5, ValueError), (-0.5, ValueError),
+        (float("nan"), ValueError), (0.01, OverflowError),
+    ])
+    def test_bad_eps_never_cached(self, eps, error):
+        for call in (lambda: c_epsilon(eps), lambda: tail_bound_parameters(8, 16, eps)) * 2:
+            with pytest.raises(error):
+                call()
+        assert eps not in bounds._C_EPSILON  # the same object, so this holds for nan too
+
+    def test_unhashable_eps(self):
+        for call in (c_epsilon, lambda eps: tail_bound_parameters(8, 16, eps)):
+            with pytest.raises(TypeError, match="unhashable type"):
+                call([0.5])
 
     def test_bad_eps_after_good_call(self):
         tail_bound_parameters(8, 16, 0.5)

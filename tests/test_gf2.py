@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from array import array
 from itertools import product
 
@@ -498,6 +499,31 @@ class TestSubspaceBasis:
 
 
 class TestSampling:
+    def test_uniform_rows_keep_the_stream(self):
+        # the same getrandbits calls in the same order as one list comprehension
+        # per matrix, so every draw and the generator state after it agree
+        ref, rows_rng, map_rng = (random.Random(77) for _ in range(3))
+        for in_dim in [*range(1, 71), 130]:
+            for out_dim in range(1, 41):
+                want = tuple([ref.getrandbits(in_dim) for _ in range(out_dim)])
+                assert gf2._uniform_rows(in_dim, out_dim, rows_rng) == want
+                assert sample_uniform_linear(in_dim, out_dim, map_rng).row_bits == want
+                state = ref.getstate()
+                assert rows_rng.getstate() == state and map_rng.getstate() == state
+
+    def test_freed_rows_are_reused(self):
+        # 3,000 maps sampled and dropped hold no memory between them; row
+        # tuples that bypassed the tuple free lists would keep ~330 KiB
+        rng = random.Random(5)
+        tracemalloc.start()
+        try:
+            for _ in range(3000):
+                sample_uniform_linear(32, 16, rng)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 16
+
     def test_uniform_deterministic_replay(self):
         a = sample_uniform_linear(5, 4, random.Random(42))
         b = sample_uniform_linear(5, 4, random.Random(42))

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from linbins import gf2
 from linbins.ballsbins import BallSet, largest_bin
 from linbins.gf2 import (
     SIZE_GUARD_BITS,
@@ -434,6 +435,24 @@ class TestGrowRehash:
             t.insert(GF2Vector(key_bits, k), f"v{i}")
         assert seen == list(range(2, 9))
         assert len(t) == 256
+
+    def test_wide_keys_small_grows_build_no_byte_tables(self, monkeypatch):
+        # 5 keys of 40,000 bits grow a 2-bucket table twice; below BATCH_MIN
+        # keys a grow rehashes key by key, so it never builds the map's 5,000
+        # byte tables
+        rng = random.Random(7)
+        t = LinearHashTable(40_000, 1, rng)
+        seen = self._checked_grows(t)
+
+        def refuse(T):
+            raise AssertionError("a small grow built byte tables")
+
+        monkeypatch.setattr(gf2, "byte_apply_tables", refuse)
+        data = random.Random(8)
+        for i in range(5):
+            t.insert(GF2Vector(40_000, data.getrandbits(40_000)), i)
+        assert seen == [2, 3]
+        assert len(t) == 5
 
     def test_one_bit_keys(self):
         t = LinearHashTable(1, 1, random.Random(5))

@@ -49,6 +49,7 @@ from linbins.gf2 import (
     compose,
     identity,
     kernel_basis,
+    sample_factor_t0,
     sample_surjective,
     sample_uniform_affine,
     sample_uniform_linear,
@@ -682,6 +683,29 @@ class TestEventE2:
             assert event_e2_direct(S, T0, T1) == e2
             outcomes.append(e2)
         assert True in outcomes and False in outcomes
+
+    # sha256 over repr((T0.row_bits, event_e2_direct(S, T0, T1))) + "\n" for
+    # each of 200 draws from Random(2906): T0 = sample_factor_t0(T, T1, rng),
+    # so the pin covers the outer map's section and kernel in both routes.
+    FACTOR_E2_DIGEST = "0b9f4fb5030baafa21ecaeaf4dca34b673e0bb35ec9b3b758db089c41caf0464"
+
+    def test_factor_and_direct_e2_digest_pinned(self):
+        rng = random.Random(2906)
+        h = hashlib.sha256()
+        outcomes = set()
+        for _ in range(200):
+            u = rng.randint(1, 6)
+            f = rng.randint(1, min(u, 5))
+            b = rng.randint(1, f)
+            T = sample_uniform_linear(u, b, rng)
+            T1 = sample_surjective(f, b, rng)
+            T0 = sample_factor_t0(T, T1, rng)
+            S = generate_set("random", u, rng.randint(1, 1 << u), rng)
+            e2 = event_e2_direct(S, T0, T1)
+            outcomes.add(e2)
+            h.update(repr((T0.row_bits, e2)).encode() + b"\n")
+        assert outcomes == {False, True}  # both outcomes are pinned
+        assert h.hexdigest() == self.FACTOR_E2_DIGEST
 
     def test_straddling_run_is_not_a_fiber(self):
         # T1 keeps the top b=2 of f=6 coordinates, so its fibers are the

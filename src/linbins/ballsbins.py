@@ -33,7 +33,7 @@ from .gf2 import (
     _check_guard,
     _rank_of_bits,
     _rref_bits,
-    _section_columns,
+    _section_and_kernel,
     _span,
     _trusted,
     _word_format,
@@ -154,8 +154,8 @@ class BallSet:
     members in listed_bits, stored as `_packed` stores them whatever sequence
     was passed, so equal members make equal sets; listed_bits is left out of
     the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
-    listed members themselves, or shift ^ span(basis) in subset-XOR order
-    made on first use under the size guard.  `planes` holds the members as
+    listed members themselves, or shift ^ span(basis) in subset-XOR order,
+    made and cached on first use under the size guard.  `planes` holds the members as
     byte planes for the batch kernel, and `linear_basis` the basis the rank
     route reads, each built on first use.
     """
@@ -190,10 +190,14 @@ class BallSet:
             raise ValueError("ball set members must be distinct")
         object.__setattr__(self, "listed_bits", _packed(bits, u))
 
-    @cached_property
+    @property
     def member_bits(self) -> Sequence[int]:
-        if self.kind not in LINEAR_KINDS:
-            return self.listed_bits
+        listed = self.listed_bits
+        return self._span_members if listed is None else listed
+
+    @cached_property
+    def _span_members(self) -> tuple[int, ...]:
+        """A linear set's members, cached; a failed guard caches nothing."""
         _check_guard(len(self.basis_bits), "subspace enumeration")
         return tuple(map((self.shift_bits or 0).__xor__, _span(self.basis_bits)))
 
@@ -380,10 +384,17 @@ def _balls(S: BallSet) -> BytePlanes | Sequence[int]:
 
 def _images(T: LinearMap, balls: BytePlanes | Sequence[int]) -> Sequence[int]:
     """T's packed image of every ball, in ball order: the batch kernel's words
-    on byte planes, a list of scalar applies on packed members."""
+    on byte planes, a list of scalar applies on packed members.
+
+    The scalar pass is apply_bits with T's rows and translation read once:
+    the translation is XOR-ed in unless it is None, so a sampled 0 counts.
+    """
     if isinstance(balls, BytePlanes):
         return batch_apply_bits(T, balls)
-    return [T.apply_bits(x) for x in balls]
+    rows, t = T.row_bits, T.translation_bits
+    if t is None:
+        return list(map(_apply_rows, repeat(rows), balls))
+    return [_apply_rows(rows, x) ^ t for x in balls]
 
 
 def _largest_load(images: Sequence[int], bin_dim: int) -> int:
@@ -506,11 +517,13 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
 def _fibers(T1: LinearMap) -> Callable[[int], list[int]]:
     """label -> all intermediate points the outer map sends to that label.
 
-    The section and the kernel span are computed once per outer map; each
-    fiber is then a particular preimage XOR every kernel vector.
+    The section and the kernel span are computed once per outer map, from one
+    elimination of T1 alone; each fiber is then a particular preimage XOR
+    every kernel vector.
     """
-    section = _section_columns(T1)
-    ker_span = kernel_basis(T1).span_bits()
+    section, kernel = _section_and_kernel(T1)
+    _check_guard(len(kernel), "span enumeration")
+    ker_span = _span(kernel)
 
     def fiber(label_bits: int) -> list[int]:
         particular = _xor_select(section, label_bits)

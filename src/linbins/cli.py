@@ -21,6 +21,7 @@ from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -59,7 +60,6 @@ from .gf2 import (
     LinearMap,
     SizeGuardError,
     _trusted,
-    _uniform_rows,
     all_matrices,
     compose,
     count_factorizations,
@@ -349,6 +349,13 @@ def _bound_rows(args: argparse.Namespace) -> list[dict]:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     rows = _bound_rows(args)
+    if not rows:
+        # only e2 and ell-threshold skip (b, f) pairs, those outside their domain
+        domain = "f > b" if args.formula == "e2" else "f >= b"
+        raise UsageError(
+            f"--formula {args.formula} needs {domain}, and no pair of "
+            f"--b {','.join(map(str, args.b))} and --f {','.join(map(str, args.f))} has it"
+        )
     _emit(args, rows, _BOUNDS_COLUMNS, {"rows": len(rows)})
     return 0
 
@@ -358,10 +365,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tally_uniform_rows(u, f, samples, rng) -> Counter:
+    """How often each row tuple comes up in `samples` uniform f x u matrices.
+
+    These are gf2._uniform_rows' getrandbits(u) calls, in its order, grouped
+    f at a time by zip, so the tally and the generator state after it are
+    the same as a loop of _uniform_rows would leave; the rows are made in C.
+    """
+    return Counter(zip(*[map(rng.getrandbits, repeat(u, f * samples))] * f))
+
+
 def _check_composition_uniformity(rng, samples, inject_fault=False):
     u, f, b = 2, 2, 1
     T1 = sample_surjective(f, b, rng)
-    inner = Counter(_uniform_rows(u, f, rng) for _ in range(samples))
+    inner = _tally_uniform_rows(u, f, samples, rng)
     tally = Counter()
     # at most 2^(u f) = 16 distinct inner maps, each composed once
     for rows, count in inner.items():

@@ -263,20 +263,31 @@ def rank(T: LinearMap) -> int:
     return _rank_of_bits(T.row_bits)
 
 
-def kernel_basis(T: LinearMap) -> SubspaceBasis:
-    """Basis of {x : T(x) = 0}; length is in_dim - rank(T)."""
-    rref, pivots = _rref_bits(T.row_bits, T.in_dim)
+def _kernel_vectors(reduced: Sequence[int], pivots: Sequence[int],
+                    ncols: int) -> tuple[int, ...]:
+    """The kernel basis read off a reduced row echelon form over ncols columns.
+
+    One vector per free column c, in column order: bit c, plus the pivot of
+    every reduced row that has bit c set.  Row bits at ncols and above are
+    never read, so augmented rows give the kernel of their left part.
+    """
     pivot_set = set(pivots)
     basis = []
-    for free in range(T.in_dim):
+    for free in range(ncols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for r, pc in enumerate(pivots):
-            if (rref[r] >> free) & 1:
+        for row, pc in zip(reduced, pivots):
+            if (row >> free) & 1:
                 v |= 1 << pc
         basis.append(v)
-    return _trusted(SubspaceBasis, ambient_dim=T.in_dim, basis_bits=tuple(basis))
+    return tuple(basis)
+
+
+def kernel_basis(T: LinearMap) -> SubspaceBasis:
+    """Basis of {x : T(x) = 0}; length is in_dim - rank(T)."""
+    basis = _kernel_vectors(*_rref_bits(T.row_bits, T.in_dim), T.in_dim)
+    return _trusted(SubspaceBasis, ambient_dim=T.in_dim, basis_bits=basis)
 
 
 def image_basis(T: LinearMap) -> SubspaceBasis:
@@ -302,18 +313,22 @@ def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
     return _trusted(SubspaceBasis, ambient_dim=n, basis_bits=unit)
 
 
-def _section_columns(T1: LinearMap) -> list[int]:
-    """Columns of a right inverse of a surjective linear map T1.
+def _section_and_kernel(T1: LinearMap) -> tuple[list[int], tuple[int, ...]]:
+    """Columns of a right inverse of a surjective linear map T1, and
+    kernel_basis(T1).basis_bits, from one elimination.
 
-    T1 sends column i to unit vector i.  Row-reducing [T1 | I] gives [R | E]
-    with E T1 = R; R's column at the pivot p_k of row k is unit vector k, so
-    the vector with bit p_k set wherever E[k][i] is set maps under R to E's
-    column i, and under T1 to unit vector i.
+    The section sends unit vector i to a point that T1 sends back to it.
+    Row-reducing [T1 | I] gives [R | E] with E T1 = R; R's column at the pivot
+    p_k of row k is unit vector k, so the vector with bit p_k set wherever
+    E[k][i] is set maps under R to E's column i, and under T1 to unit vector
+    i.  The left parts reduce exactly as T1's rows do, so R is T1's reduced
+    form and the kernel is read off it.
     """
     f = T1.in_dim
     reduced, pivots = _rref_bits([r | 1 << (f + i) for i, r in enumerate(T1.row_bits)], f)
-    return [sum(1 << p for r, p in zip(reduced, pivots) if (r >> (f + i)) & 1)
-            for i in range(T1.out_dim)]
+    section = [sum(1 << p for r, p in zip(reduced, pivots) if (r >> (f + i)) & 1)
+               for i in range(T1.out_dim)]
+    return section, _kernel_vectors(reduced, pivots, f)
 
 
 def byte_apply_tables(T: LinearMap) -> list[list[int]]:
@@ -560,8 +575,7 @@ def sample_factor_t0(T: LinearMap, T1: LinearMap, rng: random.Random) -> LinearM
     u, f = T.in_dim, T1.in_dim
     _, pivots = _rref_bits(T.row_bits, u)
     free = [j for j in range(u) if j not in pivots]
-    ker1_bits = kernel_basis(T1).basis_bits
-    section = _section_columns(T1)
+    section, ker1_bits = _section_and_kernel(T1)
     m_rows = [rng.getrandbits(len(free)) for _ in ker1_bits]
     t0_cols = [_xor_select(section, col) for col in T.column_bits]
     for k, j in enumerate(free):

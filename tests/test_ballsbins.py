@@ -425,6 +425,21 @@ class TestBatchPath:
         largest_bin(T, S)
         assert S.planes is planes
 
+    def test_scalar_images_match_apply_bits(self):
+        # below BATCH_MIN the pass reads T's rows directly; a translation of 0
+        # is XOR-ed in as apply_bits does, and inputs may be packed or a list
+        rng = random.Random(74)
+        for in_dim in [*range(1, 71), 130]:
+            out_dim = rng.randint(1, 40)
+            rows = sample_uniform_linear(in_dim, out_dim, rng).row_bits
+            for t in (None, 0, rng.getrandbits(out_dim) | 1):
+                T = LinearMap(in_dim, out_dim, rows, t)
+                for n in (1, rng.randint(2, BATCH_MIN - 2), BATCH_MIN - 1):
+                    balls = [rng.getrandbits(in_dim) for _ in range(n)]
+                    want = [T.apply_bits(x) for x in balls]
+                    assert ballsbins._images(T, balls) == want
+                    assert ballsbins._images(T, ballsbins._packed(balls, in_dim)) == want
+
     def test_small_sets_skip_planes(self):
         S = generate_set("random", 20, BATCH_MIN - 1, random.Random(72))
         largest_bin(sample_uniform_linear(20, 5, random.Random(73)), S)
@@ -605,9 +620,21 @@ class TestRankRoute:
         dist = exact_lbin_distribution(16, S)
         assert sum(dist.values()) == 1 << (64 * 16)
         assert largest_bin(T, S) in dist and largest_bin(T, S) >= 1 << 24
-        assert "member_bits" not in S.__dict__
+        assert "_span_members" not in S.__dict__
         with pytest.raises(SizeGuardError, match="subspace enumeration"):
             S.member_bits
+
+    def test_span_members_cached_and_guard_caches_nothing(self):
+        rng = random.Random(99)
+        big = generate_set("subspace", 30, 23, rng)
+        for _ in range(2):
+            with pytest.raises(SizeGuardError, match="subspace enumeration"):
+                big.member_bits
+        assert "_span_members" not in big.__dict__
+        for kind in LINEAR_KINDS:
+            S = generate_set(kind, 12, 5, rng)
+            first = S.member_bits
+            assert S.member_bits is first
 
 
 class TestEventE1:
@@ -706,6 +733,23 @@ class TestEventE2:
             h.update(repr((T0.row_bits, e2)).encode() + b"\n")
         assert outcomes == {False, True}  # both outcomes are pinned
         assert h.hexdigest() == self.FACTOR_E2_DIGEST
+
+    def test_fibers_are_brute_force_preimages(self):
+        # every surjective outer map at f <= 4, and random ones up to f = 12
+        rng = random.Random(2907)
+        small = [LinearMap.from_row_bits(f, rows) for f in range(1, 5)
+                 for b in range(1, f + 1) for rows in gf2.all_matrices(f, b)]
+        drawn = [sample_surjective(f, b, rng) for f in range(1, 13)
+                 for b in sorted({1, rng.randint(1, f), f}) for _ in range(3)]
+        for T1 in [T for T in small if gf2.is_surjective(T)] + drawn:
+            preimage = {}
+            for z in range(1 << T1.in_dim):
+                preimage.setdefault(T1.apply_bits(z), set()).add(z)
+            fiber_of = ballsbins._fibers(T1)
+            for label in range(1 << T1.out_dim):
+                fiber = fiber_of(label)
+                assert len(fiber) == len(preimage[label])
+                assert set(fiber) == preimage[label]
 
     def test_straddling_run_is_not_a_fiber(self):
         # T1 keeps the top b=2 of f=6 coordinates, so its fibers are the

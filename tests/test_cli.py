@@ -3,15 +3,17 @@
 import concurrent.futures
 import io
 import json
+import random
 import re
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from linbins import __version__, ballsbins, cli
+from linbins import __version__, ballsbins, cli, gf2
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
 from linbins.gf2 import BytePlanes, SubspaceBasis
@@ -347,6 +349,32 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err == f"usage error: expected finite numbers, got {value!r}\n"
 
+    @pytest.mark.parametrize("argv,domain", [
+        (["--formula", "e2", "--b", "3", "--f", "3"], "f > b"),
+        (["--formula", "e2", "--b", "8,9", "--f", "2,8", "--format", "json"], "f > b"),
+        (["--formula", "ell-threshold", "--f", "3", "--b", "8"], "f >= b"),
+    ])
+    def test_grid_outside_the_domain_is_a_usage_error(self, argv, domain, tmp_path, capsys):
+        code, text = run_to_file(tmp_path, "bounds.csv", ["bounds"] + argv)
+        assert code == 1 and text == ""
+        b, f = argv[argv.index("--b") + 1], argv[argv.index("--f") + 1]
+        assert capsys.readouterr().err == (
+            f"usage error: --formula {argv[1]} needs {domain}, "
+            f"and no pair of --b {b} and --f {f} has it\n")
+
+    @pytest.mark.parametrize("argv,formulas", [
+        (["--formula", "e2", "--b", "3,8", "--f", "3,4"], ["e2"]),
+        (["--formula", "ell-threshold", "--f", "3,9", "--b", "8"], ["ell-threshold"]),
+        (["--formula", "all", "--b", "3", "--f", "3", "--r", "16"],
+         ["c-epsilon", "surjective-miss", "tail", "ell-threshold", "tail-params",
+          "exponent-margin"]),
+    ])
+    def test_grid_keeps_its_valid_pairs(self, argv, formulas, tmp_path):
+        # a pair outside the domain is skipped as long as some row is left
+        code, text = run_to_file(tmp_path, "bounds.csv", ["bounds"] + argv)
+        assert code == 0
+        assert [row.split(",")[0] for row in data_rows(text)[1:]] == formulas
+
     def test_grid_crossproduct(self, tmp_path):
         _, text = run_to_file(tmp_path, "bounds.csv", [
             "bounds", "--formula", "tail", "--b", "4,8", "--r", "16,64,256",
@@ -417,6 +445,17 @@ class TestVerify:
         assert main(["verify", "--check", "pairwise-independence"] + flag) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "verify.txt").exists()
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("u,f", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 5)])
+    def test_composition_tally_keeps_the_stream(self, u, f, samples):
+        # the zip-grouped draws are _uniform_rows' draws, row 0 first, so the
+        # tally, its first-seen order and the generator state after it agree
+        ref, rng = random.Random(29), random.Random(29)
+        want = Counter(gf2._uniform_rows(u, f, ref) for _ in range(samples))
+        got = cli._tally_uniform_rows(u, f, samples, rng)
+        assert list(got.items()) == list(want.items())
+        assert rng.getstate() == ref.getstate()
 
     def test_injected_fault_detected(self, capsys):
         code = main([

@@ -19,7 +19,7 @@ from linbins.gf2 import (
     SizeGuardError,
     SubspaceBasis,
     _rank_of_bits,
-    _section_columns,
+    _section_and_kernel,
     all_matrices,
     apply_expression,
     batch_apply_bits,
@@ -668,16 +668,34 @@ class TestFactorization:
             assert sample_factor_t0(T, T1, rng) == first
         assert count_factorizations(T, T1) == 1
 
-    def test_section_columns_right_inverse(self):
+    def test_section_and_kernel_right_inverse(self):
         rng = random.Random(71)
         for f in range(1, 13):
             for b in sorted({1, rng.randint(1, f), f}):
                 for _ in range(4):
                     T1 = sample_surjective(f, b, rng)
-                    section = _section_columns(T1)
+                    section, _ = _section_and_kernel(T1)
                     assert len(section) == b
                     for i, col in enumerate(section):
                         assert T1.apply_bits(col) == 1 << i
+
+    def test_section_and_kernel_from_one_elimination(self):
+        # the kernel is kernel_basis's, order included, for every outer map at
+        # f <= 4 and random ones up to f = 12, surjective or not; the section
+        # is a right inverse of each surjective one
+        rng = random.Random(72)
+        small = [m for f in range(1, 5) for b in range(1, f + 1) for m in all_linear_maps(f, b)]
+        drawn = [sample_uniform_linear(f, b, rng) for f in range(1, 13)
+                 for b in sorted({1, rng.randint(1, f), f}) for _ in range(6)]
+        surjective = 0
+        for T1 in small + drawn:
+            section, kernel = _section_and_kernel(T1)
+            assert kernel == kernel_basis(T1).basis_bits
+            if is_surjective(T1):
+                surjective += 1
+                assert [T1.apply_bits(col) for col in section] == [
+                    1 << i for i in range(T1.out_dim)]
+        assert 0 < surjective < len(small) + len(drawn)
 
     def test_not_surjective_rejected(self):
         T = sample_uniform_linear(3, 1, random.Random(0))

@@ -611,6 +611,7 @@ class TestRankRoute:
         for kind in ("interval", "random", "cluster"):
             S = generate_set(kind, 9, 40, rng)
             assert S.member_bits is S.listed_bits
+            assert "member_bits" not in vars(S)  # nothing is cached for them
 
     def test_large_linear_set_lists_no_members(self):
         S = generate_set("affine", 64, 40, random.Random(97))

@@ -154,10 +154,10 @@ class BallSet:
     members in listed_bits, stored as `_packed` stores them whatever sequence
     was passed, so equal members make equal sets; listed_bits is left out of
     the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
-    listed members themselves, or shift ^ span(basis) in subset-XOR order,
-    made and cached on first use under the size guard.  `planes` holds the members as
-    byte planes for the batch kernel, and `linear_basis` the basis the rank
-    route reads, each built on first use.
+    listed members themselves, uncached, or shift ^ span(basis) in
+    subset-XOR order, made and cached on first use under the size guard.
+    `planes` holds the members as byte planes for the batch kernel, and
+    `linear_basis` the basis the rank route reads, each built on first use.
     """
 
     universe_dim: int

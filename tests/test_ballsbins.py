@@ -735,6 +735,29 @@ class TestEventE2:
         assert outcomes == {False, True}  # both outcomes are pinned
         assert h.hexdigest() == self.FACTOR_E2_DIGEST
 
+    # sha256 over repr((T0.row_bits, event_e2_direct(S, T0, T1))) + "\n" for
+    # each of 200 draws from Random(2906) with a uniform inner map, so the pin
+    # covers the outer map's section and kernel, and event_e2 agrees on each.
+    UNIFORM_E2_DIGEST = "c4fbb7c7f61626874ef02e37255ef4c2cd357ad7ae1bd6efcb1145f211b7e2ba"
+
+    def test_uniform_and_direct_e2_digest_pinned(self):
+        rng = random.Random(2906)
+        h = hashlib.sha256()
+        outcomes = set()
+        for _ in range(200):
+            u = rng.randint(1, 6)
+            f = rng.randint(1, min(u, 5))
+            b = rng.randint(1, f)
+            T1 = sample_surjective(f, b, rng)
+            T0 = sample_uniform_linear(u, f, rng)
+            S = generate_set("random", u, rng.randint(1, 1 << u), rng)
+            e2 = event_e2_direct(S, T0, T1)
+            assert event_e2(S, T0, T1) == e2
+            outcomes.add(e2)
+            h.update(repr((T0.row_bits, e2)).encode() + b"\n")
+        assert outcomes == {False, True}  # both outcomes are pinned
+        assert h.hexdigest() == self.UNIFORM_E2_DIGEST
+
     def test_fibers_are_brute_force_preimages(self):
         # every surjective outer map at f <= 4, and random ones up to f = 12
         rng = random.Random(2907)

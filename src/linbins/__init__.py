@@ -5,20 +5,14 @@ from .gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
-    complement_basis,
     compose,
-    count_factor_maps,
     count_factorizations,
-    identity,
-    image_basis,
     is_surjective,
     kernel_basis,
     rank,
-    sample_factor_t0,
     sample_surjective,
     sample_uniform_affine,
     sample_uniform_linear,
-    zero_map,
 )
 from .ballsbins import (
     BallSet,
@@ -29,7 +23,6 @@ from .ballsbins import (
     distribution_mean,
     distribution_tail,
     estimate_tail,
-    event_e1,
     event_e2,
     event_e2_direct,
     exact_lbin_distribution,

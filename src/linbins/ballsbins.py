@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice, repeat
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gf2 import (
@@ -45,7 +45,6 @@ from .gf2 import (
     compose,
     is_surjective,
     kernel_basis,
-    sample_uniform_affine,
     sample_uniform_linear,
 )
 
@@ -454,13 +453,6 @@ def largest_bin(T: LinearMap, S: BallSet) -> int:
     return _largest_bin_of(T, _lbin_balls(S))
 
 
-def event_e1(S: BallSet, T: LinearMap, ell: int) -> bool:
-    """True iff some bin holds at least ell balls."""
-    if ell < 1:
-        raise ValueError("threshold must be >= 1")
-    return largest_bin(T, S) >= ell
-
-
 def _check_event_args(S: BallSet, T0: LinearMap, T1: LinearMap) -> None:
     _check_map_vs_set(T0, S)
     if T1.in_dim != T0.out_dim:
@@ -575,9 +567,8 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     """
     if ell < 1:
         raise ValueError("threshold must be >= 1")
-    _check_event_args(S, T0, T1)
+    e2 = event_e2(S, T0, T1)  # checks the arguments before compose reads them
     T = compose(T1, T0)
-    e2 = event_e2(S, T0, T1)
 
     by_label: dict[int, list[int]] = {}
     for x, y in zip(S.member_bits, _images(T, _balls(S))):
@@ -834,6 +825,8 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     """
     if S.kind != "subspace":
         raise ValueError("ball set must be a subspace kind")
+    if not T.is_linear:
+        raise ValueError("subspace structure requires a linear map (no translation)")
     tally = bin_counts(T, S)
     span_bits = S.basis_bits
     ker_bits = kernel_basis(T).basis_bits
@@ -861,90 +854,50 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
 
 @dataclass(frozen=True)
 class PairwiseReport:
-    mode: str                  # "exact" or "sampling"
     universe_dim: int
     bin_dim: int
     pairs_checked: int
     cells_checked: int
     expected: float            # 2^(-2b)
     max_abs_error: float
-    tolerance: float
-    ok: bool
+    ok: bool                   # every cell frequency equals expected
 
 
-def _pair_at(n_keys: int, index: int) -> tuple[int, int]:
-    """The index-th pair (a, b), a < b < n_keys, in lexicographic order."""
-    # Counted from the last pair, the pairs starting at n_keys-1-m occupy
-    # positions C(m, 2) .. C(m+1, 2) - 1.
-    r = n_keys * (n_keys - 1) // 2 - 1 - index
-    m = (1 + math.isqrt(8 * r + 1)) // 2
-    return n_keys - 1 - m, n_keys - 1 - (r - m * (m - 1) // 2)
-
-
-def pairwise_independence_check(universe_dim: int, bin_dim: int,
-                                rng: random.Random | None = None,
-                                samples: int = 20_000,
-                                max_pairs: int = 40) -> PairwiseReport:
-    """Joint distribution check for random affine maps on key pairs.
+def pairwise_independence_check(universe_dim: int, bin_dim: int) -> PairwiseReport:
+    """Exact joint distribution check for random affine maps on key pairs.
 
     For distinct keys x1 != x2 the pair (h(x1), h(x2)) must be uniform over
-    all 2^(2b) label pairs.  With at most 2^16 affine maps and at most
-    2^SIZE_GUARD_BITS (map, pair) combinations, the check enumerates every
-    (matrix, offset) choice on every key pair and demands exact equality.
-    Otherwise it draws `samples` maps and holds the cell frequencies of at
-    most max_pairs pairs to a 5-sigma gate.  One hit reads 1/samples, over
-    the gate once 2^(2b) > 25 samples, so sampling refuses more cells than
-    samples before it allocates a tally.
+    all 2^(2b) label pairs.  The check applies every (matrix, offset) choice
+    to every key and tallies every key pair, demanding exact equality.  A
+    shape over 2^16 affine maps or 2^SIZE_GUARD_BITS (map, pair) combinations
+    raises SizeGuardError before anything is enumerated.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if max_pairs < 1:
-        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
+    if universe_dim < 1 or bin_dim < 1:
+        raise ValueError("map dimensions must be >= 1")
     total_bits = universe_dim * bin_dim + bin_dim
     n_keys = 1 << universe_dim
     n_pairs = n_keys * (n_keys - 1) // 2
-    n_cells = 1 << (2 * bin_dim)
-    exact = total_bits <= 16 and n_pairs << total_bits <= 1 << SIZE_GUARD_BITS
-    if not exact and n_cells > samples:
+    if total_bits > 16 or n_pairs << total_bits > 1 << SIZE_GUARD_BITS:
         raise SizeGuardError(
-            f"sampling {samples} affine maps cannot resolve 2^{2 * bin_dim} label-pair "
-            f"cells; exhaustive enumeration is capped at 2^16 maps and "
-            f"2^{SIZE_GUARD_BITS} map-pair combinations"
+            f"pairwise check would enumerate 2^{total_bits} affine maps on {n_pairs} key "
+            f"pairs (caps are 2^16 maps and 2^{SIZE_GUARD_BITS} map-pair combinations)"
         )
-
+    n_cells = 1 << (2 * bin_dim)
+    tallies = [(i, j, [0] * n_cells) for i, j in combinations(range(n_keys), 2)]
+    for offset in range(1 << bin_dim):
+        for rows in all_matrices(universe_dim, bin_dim):
+            images = [_apply_rows(rows, x) ^ offset for x in range(n_keys)]
+            for i, j, tally in tallies:
+                tally[(images[i] << bin_dim) | images[j]] += 1
+    draws = 1 << total_bits
     expected = 2.0 ** (-2 * bin_dim)
-    if exact:
-        draws = 1 << total_bits
-        indices = range(n_pairs)
-        maps = ((rows, offset) for offset in range(1 << bin_dim)
-                for rows in all_matrices(universe_dim, bin_dim))
-        tolerance = 0.0
-    else:
-        draws = samples
-        rng = rng if rng is not None else random.Random(0)
-        indices = (rng.sample(range(n_pairs), max_pairs) if n_pairs > max_pairs
-                   else range(n_pairs))
-        maps = ((h.row_bits, h.translation_bits) for h in
-                (sample_uniform_affine(universe_dim, bin_dim, rng) for _ in range(samples)))
-        # 5 sigma on a binomial cell keeps false alarms negligible across cells
-        tolerance = 5.0 * math.sqrt(expected * (1 - expected) / samples)
-    pairs = [_pair_at(n_keys, i) for i in indices]
-    keys = sorted({x for pair in pairs for x in pair})
-    slot = {x: i for i, x in enumerate(keys)}  # a key's place in each map's images
-    tallies = [(slot[a], slot[b], [0] * n_cells) for a, b in pairs]
-    for rows, offset in maps:
-        images = [_apply_rows(rows, x) ^ offset for x in keys]
-        for i, j, tally in tallies:
-            tally[(images[i] << bin_dim) | images[j]] += 1
     max_err = max(abs(c / draws - expected) for _, _, tally in tallies for c in tally)
     return PairwiseReport(
-        mode="exact" if exact else "sampling",
         universe_dim=universe_dim,
         bin_dim=bin_dim,
-        pairs_checked=len(pairs),
-        cells_checked=len(pairs) * n_cells,
+        pairs_checked=len(tallies),
+        cells_checked=len(tallies) * n_cells,
         expected=expected,
         max_abs_error=max_err,
-        tolerance=tolerance,
-        ok=(max_err <= tolerance),
+        ok=(max_err == 0.0),
     )

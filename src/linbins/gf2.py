@@ -233,16 +233,8 @@ def _xor_select(vectors: Sequence[int], mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Map constructors and operations
+# Map operations
 # ---------------------------------------------------------------------------
-
-
-def identity(dim: int) -> LinearMap:
-    return LinearMap.from_row_bits(dim, [1 << i for i in range(dim)])
-
-
-def zero_map(in_dim: int, out_dim: int) -> LinearMap:
-    return LinearMap.from_row_bits(in_dim, [0] * out_dim)
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
@@ -290,27 +282,8 @@ def kernel_basis(T: LinearMap) -> SubspaceBasis:
     return _trusted(SubspaceBasis, ambient_dim=T.in_dim, basis_bits=basis)
 
 
-def image_basis(T: LinearMap) -> SubspaceBasis:
-    """Basis of the column span; length is rank(T)."""
-    reduced, _ = _rref_bits(T.column_bits, T.out_dim)
-    return _trusted(SubspaceBasis, ambient_dim=T.out_dim, basis_bits=tuple(reduced))
-
-
 def is_surjective(T: LinearMap) -> bool:
     return rank(T) == T.out_dim
-
-
-def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
-    """A direct-sum complement: independent of sub, together spanning everything.
-
-    The unit vectors at the non-pivot columns of sub's reduced row echelon
-    form.  They vanish on every pivot, where the reduced rows are unit
-    vectors, so only 0 lies in both spans and the dimensions add up.
-    """
-    n = sub.ambient_dim
-    _, pivots = _rref_bits(sub.basis_bits, n)
-    unit = tuple(1 << i for i in range(n) if i not in pivots)
-    return _trusted(SubspaceBasis, ambient_dim=n, basis_bits=unit)
 
 
 def _section_and_kernel(T1: LinearMap) -> tuple[list[int], tuple[int, ...]]:
@@ -560,39 +533,6 @@ def _check_factor_args(T: LinearMap, T1: LinearMap) -> None:
         raise ValueError("outer map must be surjective")
 
 
-def sample_factor_t0(T: LinearMap, T1: LinearMap, rng: random.Random) -> LinearMap:
-    """Sample a factor map T0 with T1 after T0 equal to T.
-
-    Construction: split the domain into Ker(T) and the unit vectors at the
-    pivot columns of T's reduced row echelon form, so unit vector j has
-    kernel coordinates one-hot at a free column j and zero at a pivot.  x
-    goes to the section preimage of T(x) under T1, plus the image of its
-    kernel part under a uniformly random map from Ker(T) to Ker(T1).  Each of
-    the 2^((f-b)*dim Ker(T)) kernel-to-kernel maps yields one canonical
-    factor map, sampled uniformly.
-    """
-    _check_factor_args(T, T1)
-    u, f = T.in_dim, T1.in_dim
-    _, pivots = _rref_bits(T.row_bits, u)
-    free = [j for j in range(u) if j not in pivots]
-    section, ker1_bits = _section_and_kernel(T1)
-    m_rows = [rng.getrandbits(len(free)) for _ in ker1_bits]
-    t0_cols = [_xor_select(section, col) for col in T.column_bits]
-    for k, j in enumerate(free):
-        t0_cols[j] ^= _xor_select(ker1_bits, _apply_rows(m_rows, 1 << k))
-    return _trusted(LinearMap, in_dim=u, out_dim=f, row_bits=tuple(_transpose(t0_cols, f)))
-
-
-def _iter_factor_rows(T: LinearMap, T1: LinearMap):
-    """Yield the packed rows of every inner map whose composite with T1 is T."""
-    u, f = T.in_dim, T1.in_dim
-    _check_guard(u * f, "factorization count")
-    targets = list(zip(T1.row_bits, T.row_bits))
-    for cand_rows in all_matrices(u, f):
-        if all(_xor_select(cand_rows, t1r) == tr for t1r, tr in targets):
-            yield cand_rows
-
-
 def count_factorizations(T: LinearMap, T1: LinearMap) -> int:
     """Count factor maps of T through T1 up to agreement on the kernel of T.
 
@@ -603,21 +543,13 @@ def count_factorizations(T: LinearMap, T1: LinearMap) -> int:
     2^((f-b)*dim Ker(T)) when the outer map is surjective.
     """
     _check_factor_args(T, T1)
+    u, f = T.in_dim, T1.in_dim
+    _check_guard(u * f, "factorization count")
     ker_bits = kernel_basis(T).basis_bits
+    targets = list(zip(T1.row_bits, T.row_bits))
     seen = {
         tuple(_apply_rows(cand_rows, v) for v in ker_bits)
-        for cand_rows in _iter_factor_rows(T, T1)
+        for cand_rows in all_matrices(u, f)
+        if all(_xor_select(cand_rows, t1r) == tr for t1r, tr in targets)
     }
     return len(seen)
-
-
-def count_factor_maps(T: LinearMap, T1: LinearMap) -> int:
-    """Raw exhaustive count of inner maps whose composite with T1 equals T.
-
-    Exceeds count_factorizations by the constant factor 2^((f-b)*rank(T)):
-    the off-kernel part of a factor map can absorb any map into Ker(T1).
-    For surjective T1 the total is 2^((f-b)*in_dim), one independent kernel
-    coset choice per matrix column.
-    """
-    _check_factor_args(T, T1)
-    return sum(1 for _ in _iter_factor_rows(T, T1))

@@ -28,13 +28,11 @@ from linbins.ballsbins import (
     distribution_mean,
     distribution_tail,
     estimate_tail,
-    event_e1,
     event_e2,
     event_e2_direct,
     exact_lbin_distribution,
     generate_set,
     largest_bin,
-    _pair_at,
     pairwise_independence_check,
     subspace_structure,
     substream,
@@ -47,13 +45,10 @@ from linbins.gf2 import (
     _rank_of_bits,
     _span,
     compose,
-    identity,
     kernel_basis,
-    sample_factor_t0,
     sample_surjective,
     sample_uniform_affine,
     sample_uniform_linear,
-    zero_map,
 )
 
 
@@ -66,6 +61,14 @@ def naive_apply_bits(rows, x):
 
 def full_universe(u):
     return generate_set("interval", u, 1 << u)
+
+
+def identity(dim):
+    return LinearMap.from_row_bits(dim, [1 << i for i in range(dim)])
+
+
+def zero_map(in_dim, out_dim):
+    return LinearMap.from_row_bits(in_dim, [0] * out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +641,14 @@ class TestRankRoute:
             assert S.member_bits is first
 
 
+def event_e1(S, T, ell):
+    """E1, some bin of T holding >= ell balls, as the implication audit reads
+    it: with the identity as outer map, a witness is exactly such a bin."""
+    witnesses = check_e1_e2_implication(S, T, identity(T.out_dim), ell).witnesses
+    assert bool(witnesses) == (largest_bin(T, S) >= ell)
+    return bool(witnesses)
+
+
 class TestEventE1:
     def test_threshold_one_always(self):
         S = full_universe(2)
@@ -655,8 +666,10 @@ class TestEventE1:
         assert not event_e1(S, T, 3)
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            event_e1(full_universe(2), identity(2), 0)
+        # refused before the maps are checked: zero_map(2, 2) is not surjective
+        for T1 in (identity(2), zero_map(2, 2)):
+            with pytest.raises(ValueError, match="threshold must be >= 1"):
+                check_e1_e2_implication(full_universe(2), identity(2), T1, 0)
 
 
 class TestEventE2:
@@ -711,29 +724,6 @@ class TestEventE2:
             assert event_e2_direct(S, T0, T1) == e2
             outcomes.append(e2)
         assert True in outcomes and False in outcomes
-
-    # sha256 over repr((T0.row_bits, event_e2_direct(S, T0, T1))) + "\n" for
-    # each of 200 draws from Random(2906): T0 = sample_factor_t0(T, T1, rng),
-    # so the pin covers the outer map's section and kernel in both routes.
-    FACTOR_E2_DIGEST = "0b9f4fb5030baafa21ecaeaf4dca34b673e0bb35ec9b3b758db089c41caf0464"
-
-    def test_factor_and_direct_e2_digest_pinned(self):
-        rng = random.Random(2906)
-        h = hashlib.sha256()
-        outcomes = set()
-        for _ in range(200):
-            u = rng.randint(1, 6)
-            f = rng.randint(1, min(u, 5))
-            b = rng.randint(1, f)
-            T = sample_uniform_linear(u, b, rng)
-            T1 = sample_surjective(f, b, rng)
-            T0 = sample_factor_t0(T, T1, rng)
-            S = generate_set("random", u, rng.randint(1, 1 << u), rng)
-            e2 = event_e2_direct(S, T0, T1)
-            outcomes.add(e2)
-            h.update(repr((T0.row_bits, e2)).encode() + b"\n")
-        assert outcomes == {False, True}  # both outcomes are pinned
-        assert h.hexdigest() == self.FACTOR_E2_DIGEST
 
     # sha256 over repr((T0.row_bits, event_e2_direct(S, T0, T1))) + "\n" for
     # each of 200 draws from Random(2906) with a uniform inner map, so the pin
@@ -969,6 +959,38 @@ class TestImplication:
             ell = rng.randint(1, S.size + 1)
             assert check_e1_e2_implication(S, T0, T1, ell).ok
 
+    def test_argument_errors(self):
+        # each bad argument is refused with the error event_e2 or compose gives
+        rng = random.Random(10)
+        S = generate_set("random", 4, 9, rng)
+        T0 = sample_uniform_linear(4, 3, rng)
+        T1 = sample_surjective(3, 2, rng)
+        cases = [
+            (S, sample_uniform_linear(5, 3, rng), T1, ValueError,
+             "map takes 5 bits, balls have 4"),
+            (S, T0, sample_surjective(2, 1, rng), ValueError,
+             "outer map takes 2 bits, inner map gives 3"),
+            (S, T0, zero_map(3, 2), ValueError, "outer map must be surjective"),
+            (S, LinearMap(4, 3, T0.row_bits, 0b101), T1, ValueError,
+             "compose requires linear maps"),
+            (full_universe(3), sample_uniform_linear(3, 25, rng),
+             sample_surjective(25, 2, rng), SizeGuardError, "coverage array"),
+        ]
+        for S_, T0_, T1_, error, message in cases:
+            with pytest.raises(error, match=message):
+                check_e1_e2_implication(S_, T0_, T1_, 2)
+
+    def test_ranks_outer_map_once(self, monkeypatch):
+        calls = []
+        rank_check = ballsbins.is_surjective
+        monkeypatch.setattr(ballsbins, "is_surjective",
+                            lambda T: calls.append(T) or rank_check(T))
+        rng = random.Random(11)
+        S = generate_set("random", 4, 12, rng)
+        T1 = sample_surjective(3, 2, rng)
+        check_e1_e2_implication(S, sample_uniform_linear(4, 3, rng), T1, 2)
+        assert calls == [T1]
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
@@ -1165,6 +1187,17 @@ class TestSubspaceStructure:
         with pytest.raises(ValueError):
             subspace_structure(identity(4), S_affine)
 
+    def test_rejects_affine_map(self):
+        # a translation moves the zero label off the largest bin, so the
+        # structure claim is for linear maps only; an offset of 0 is linear
+        rng = random.Random(5)
+        for _ in range(20):
+            S = generate_set("subspace", 4, 2, rng)
+            rows = sample_uniform_linear(4, 2, rng).row_bits
+            with pytest.raises(ValueError, match="requires a linear map"):
+                subspace_structure(LinearMap(4, 2, rows, rng.randint(1, 3)), S)
+            assert subspace_structure(LinearMap(4, 2, rows, 0), S).ok
+
 
 # ---------------------------------------------------------------------------
 # pairwise independence
@@ -1174,14 +1207,12 @@ class TestSubspaceStructure:
 class TestPairwiseIndependence:
     def test_exact_u2_b1(self):
         report = pairwise_independence_check(2, 1)
-        assert report.mode == "exact"
         assert report.ok
         assert report.max_abs_error == 0.0
         assert report.expected == 0.25
 
     def test_exact_u3_b2(self):
         report = pairwise_independence_check(3, 2)
-        assert report.mode == "exact"
         assert report.ok
         assert report.cells_checked == 28 * 16
 
@@ -1202,84 +1233,41 @@ class TestPairwiseIndependence:
         assert report.ok  # joint exactness implies the marginal
 
     def test_exact_mode_guard(self):
-        # 2^18 affine maps are over the 2^16 map cap, so the check samples
-        assert pairwise_independence_check(8, 2, samples=2000).mode == "sampling"
+        # 2^18 affine maps are over the 2^16 map cap
+        with pytest.raises(SizeGuardError, match="2\\^18 affine maps"):
+            pairwise_independence_check(8, 2)
 
     def test_exact_mode_guard_counts_pairs(self):
-        # 2^16 maps pass the map cap, but C(2^15, 2) key pairs do not fit, so
-        # the check samples
-        assert pairwise_independence_check(15, 1, samples=2000).mode == "sampling"
+        # 2^16 maps pass the map cap, but C(2^15, 2) key pairs do not fit
+        with pytest.raises(SizeGuardError, match="2\\^16 affine maps on 536854528 key pairs"):
+            pairwise_independence_check(15, 1)
 
-    @pytest.mark.parametrize("u,b,samples", [(4, 16, 2000), (4, 16, 20_000), (3, 6, 4095)])
-    def test_sampling_guard_before_allocating(self, u, b, samples):
-        # more cells than samples are refused before a map is drawn or a tally
-        # allocated; at (4, 16) one hit alone would exceed the 5-sigma gate
+    def test_guard_before_allocating(self):
+        # 16 keys but 2^80 maps: refused before a tally is allocated
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardError, match=f"2\\^{2 * b} label-pair cells"):
-                pairwise_independence_check(u, b, samples=samples)
+            with pytest.raises(SizeGuardError):
+                pairwise_independence_check(4, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("u,b,kwargs,message", [
-        (8, 2, {"samples": 100, "max_pairs": 0}, "max_pairs must be >= 1, got 0"),
-        (2, 1, {"max_pairs": -1}, "max_pairs must be >= 1, got -1"),
-        (8, 2, {"samples": 0}, "samples must be >= 1, got 0"),
-        (2, 1, {"samples": -5}, "samples must be >= 1, got -5"),
-    ])
-    def test_counts_below_one_rejected(self, u, b, kwargs, message):
-        # refused by name whichever mode the shape would pick: (2, 1) enumerates
-        # and (8, 2) samples
+    @pytest.mark.parametrize("u,b", [(0, 1), (1, 0)])
+    def test_dimensions_below_one_rejected(self, u, b):
+        # no keys to pair at u = 0, and a 0-bit label at b = 0
         with pytest.raises(ValueError) as info:
-            pairwise_independence_check(u, b, **kwargs)
-        assert type(info.value) is ValueError and str(info.value) == message
+            pairwise_independence_check(u, b)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "map dimensions must be >= 1"
 
-    def test_guard_allows_one_cell_per_sample(self):
-        report = pairwise_independence_check(3, 6, rng=random.Random(2), samples=4096,
-                                             max_pairs=2)
-        assert report.mode == "sampling" and report.cells_checked == 2 * 4096
-
-    def test_pair_index_decoding(self):
-        for u in range(1, 7):
-            n = 1 << u
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-            assert [_pair_at(n, i) for i in range(len(pairs))] == pairs
-
-    def test_sampled_pairs_match_list_sampling(self):
-        # drawing indices picks the pairs a draw from the full list would, and
-        # leaves the rng in the same state
-        for u in range(3, 10):
-            n = 1 << u
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-            by_list, by_index = random.Random(u), random.Random(u)
-            k = min(40, len(pairs) - 1)
-            want = by_list.sample(pairs, k)
-            got = [_pair_at(n, i) for i in by_index.sample(range(len(pairs)), k)]
-            assert got == want
-            assert by_list.getstate() == by_index.getstate()
-
-    def test_sampling_mode(self):
-        report = pairwise_independence_check(
-            8, 2, rng=random.Random(1), samples=4000, max_pairs=8
-        )
-        assert report.mode == "sampling"
-        assert report.ok
-        assert report.tolerance > 0
-
-    @pytest.mark.parametrize("u,b,kwargs,want", [
-        (2, 1, {}, PairwiseReport(
-            mode="exact", universe_dim=2, bin_dim=1, pairs_checked=6, cells_checked=24,
-            expected=0.25, max_abs_error=0.0, tolerance=0.0, ok=True)),
-        (3, 2, {}, PairwiseReport(
-            mode="exact", universe_dim=3, bin_dim=2, pairs_checked=28, cells_checked=448,
-            expected=0.0625, max_abs_error=0.0, tolerance=0.0, ok=True)),
-        (8, 2, {"rng": random.Random(1), "samples": 4000, "max_pairs": 8}, PairwiseReport(
-            mode="sampling", universe_dim=8, bin_dim=2, pairs_checked=8, cells_checked=128,
-            expected=0.0625, max_abs_error=0.011000000000000003,
-            tolerance=0.019136638615493577, ok=True)),
-    ], ids=["exact-2-1", "exact-3-2", "sampling-8-2"])
-    def test_reports_pinned(self, u, b, kwargs, want):
-        # every field pinned; the sampling case also pins how the rng is consumed
-        assert pairwise_independence_check(u, b, **kwargs) == want
+    @pytest.mark.parametrize("u,b,want", [
+        (2, 1, PairwiseReport(
+            universe_dim=2, bin_dim=1, pairs_checked=6, cells_checked=24,
+            expected=0.25, max_abs_error=0.0, ok=True)),
+        (3, 2, PairwiseReport(
+            universe_dim=3, bin_dim=2, pairs_checked=28, cells_checked=448,
+            expected=0.0625, max_abs_error=0.0, ok=True)),
+    ], ids=["exact-2-1", "exact-3-2"])
+    def test_reports_pinned(self, u, b, want):
+        assert pairwise_independence_check(u, b) == want

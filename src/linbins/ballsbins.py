@@ -567,6 +567,11 @@ def check_e1_e2_implication(S: BallSet, T0: LinearMap, T1: LinearMap,
     """
     if ell < 1:
         raise ValueError("threshold must be >= 1")
+    if not T0.is_linear:
+        # refuse an affine T0 before event_e2 scans the set, but only after
+        # the checks event_e2 makes, whose errors come first
+        _check_event_args(S, T0, T1)
+        compose(T1, T0)  # raises: compose requires linear maps
     e2 = event_e2(S, T0, T1)  # checks the arguments before compose reads them
     T = compose(T1, T0)
 

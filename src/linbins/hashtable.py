@@ -7,10 +7,10 @@ initial bucket count is held to 2^SIZE_GUARD_BITS; grows follow the key count.
 Each map comes with its bucket expression, compiled once when the map is set
 by gf2.apply_expression: one straight-line XOR, of one entry per byte table
 of LinearMap.byte_tables (lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ ...) or
-of one row parity per bucket bit, whichever has fewer terms.  Every
-operation finds its key through one routine, _find, which evaluates that
-expression and looks the key up among the chain's keys; get and remove count
-their own hit and miss probes from _find's slot and chain.  A grow of at
+of one row parity per bucket bit, whichever has fewer terms.  insert, get,
+remove and `in` each check the key's width, evaluate that expression and look
+the key up among the chain's keys (its even slots, so no value's __eq__ runs),
+all inline; get and remove count their own hit and miss probes.  A grow of at
 least BATCH_MIN keys rehashes them in one batch_apply_bits pass over their
 byte planes, which reads the map's byte tables; a smaller grow runs the
 bucket expression key by key, so it builds no table it would not read.
@@ -62,9 +62,10 @@ class LinearHashTable:
     """Separate chaining with insertion-order chains and grow-at-full policy.
 
     Keys are GF2Vectors at the interface; a chain is a flat tuple of key
-    bits and values, alternating.  Single writer; readers may share the
-    table between mutations.  The rng handle is owned by the table for
-    resampling on resize.
+    bits and values, alternating.  Each operation runs its own lookup, so it
+    costs two frames: the method and the bucket expression.  Single writer;
+    readers may share the table between mutations.  The rng handle is owned
+    by the table for resampling on resize.
     """
 
     def __init__(self, key_bits: int, bucket_bits: int, rng: random.Random,
@@ -110,19 +111,8 @@ class LinearHashTable:
         self._hash = T
         self._bucket_of = apply_expression(T)
 
-    def _find(self, key: GF2Vector) -> tuple[int, int, tuple, int]:
-        """(key bits, bucket, chain, the key's slot in the chain or -1).
-
-        Only the chain's keys (its even slots) are compared, so a value
-        never has its __eq__ called.
-        """
-        if key.dim != self._key_bits:
-            raise ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
-        kbits = key.bits
-        b = self._bucket_of(kbits)
-        chain = self._buckets[b]
-        keys = chain[::2]
-        return kbits, b, chain, 2 * keys.index(kbits) if kbits in keys else -1
+    def _width_error(self, key: GF2Vector) -> ValueError:
+        return ValueError(f"key has {key.dim} bits, table keys have {self._key_bits}")
 
     def insert(self, key: GF2Vector, value: Any) -> Any | None:
         """Store key -> value; returns the replaced value, if any.
@@ -130,41 +120,62 @@ class LinearHashTable:
         A new key that would push the load factor past 1 grows the table
         first.
         """
-        kbits, b, chain, i = self._find(key)
-        if i >= 0:
+        if key.dim != self._key_bits:
+            raise self._width_error(key)
+        kbits = key.bits
+        b = self._bucket_of(kbits)
+        chain = self._buckets[b]
+        keys = chain[::2]
+        if kbits in keys:
+            i = 2 * keys.index(kbits)
             self._buckets[b] = chain[: i + 1] + (value,) + chain[i + 2 :]
             return chain[i + 1]
         if self._size + 1 > len(self._buckets):
             self._grow()
-            kbits, b, chain, i = self._find(key)
+            b = self._bucket_of(kbits)
+            chain = self._buckets[b]
         self._buckets[b] = chain + (kbits, value)
         self._size += 1
         return None
 
     def get(self, key: GF2Vector) -> Any | None:
-        _, _, chain, i = self._find(key)
-        if i < 0:
-            self._miss_lookups += 1
-            self._miss_probes += len(chain) // 2
-            return None
-        self._hit_lookups += 1
-        self._hit_probes += i // 2 + 1
-        return chain[i + 1]
+        if key.dim != self._key_bits:
+            raise self._width_error(key)
+        kbits = key.bits
+        chain = self._buckets[self._bucket_of(kbits)]
+        keys = chain[::2]
+        if kbits in keys:
+            i = keys.index(kbits)
+            self._hit_lookups += 1
+            self._hit_probes += i + 1
+            return chain[2 * i + 1]
+        self._miss_lookups += 1
+        self._miss_probes += len(keys)
+        return None
 
     def remove(self, key: GF2Vector) -> Any | None:
-        _, b, chain, i = self._find(key)
-        if i < 0:
-            self._miss_lookups += 1
-            self._miss_probes += len(chain) // 2
-            return None
-        self._hit_lookups += 1
-        self._hit_probes += i // 2 + 1
-        self._buckets[b] = chain[:i] + chain[i + 2 :]
-        self._size -= 1
-        return chain[i + 1]
+        if key.dim != self._key_bits:
+            raise self._width_error(key)
+        kbits = key.bits
+        b = self._bucket_of(kbits)
+        chain = self._buckets[b]
+        keys = chain[::2]
+        if kbits in keys:
+            i = keys.index(kbits)
+            self._hit_lookups += 1
+            self._hit_probes += i + 1
+            self._buckets[b] = chain[: 2 * i] + chain[2 * i + 2 :]
+            self._size -= 1
+            return chain[2 * i + 1]
+        self._miss_lookups += 1
+        self._miss_probes += len(keys)
+        return None
 
     def __contains__(self, key: GF2Vector) -> bool:
-        return self._find(key)[3] >= 0
+        if key.dim != self._key_bits:
+            raise self._width_error(key)
+        kbits = key.bits
+        return kbits in self._buckets[self._bucket_of(kbits)][::2]
 
     def keys(self) -> Iterator[GF2Vector]:
         for chain in self._buckets:

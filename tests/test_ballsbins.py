@@ -980,6 +980,23 @@ class TestImplication:
             with pytest.raises(error, match=message):
                 check_e1_e2_implication(S_, T0_, T1_, 2)
 
+    def test_affine_inner_map_refused_before_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("event_e2 scanned the set")
+
+        monkeypatch.setattr(ballsbins, "event_e2", no_scan)
+        rng = random.Random(12)
+        S = generate_set("random", 4, 9, rng)
+        T0 = sample_uniform_linear(4, 3, rng)
+        affine = LinearMap(4, 3, T0.row_bits, 0b101)
+        with pytest.raises(ValueError, match=r"compose requires linear maps \(no translation\)"):
+            check_e1_e2_implication(S, affine, sample_surjective(3, 2, rng), 2)
+        # a bad outer map is still refused first, with event_e2's error
+        with pytest.raises(ValueError, match="outer map must be surjective"):
+            check_e1_e2_implication(S, affine, zero_map(3, 2), 2)
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            check_e1_e2_implication(S, affine, zero_map(3, 2), 0)
+
     def test_ranks_outer_map_once(self, monkeypatch):
         calls = []
         rank_check = ballsbins.is_surjective

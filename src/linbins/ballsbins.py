@@ -100,39 +100,6 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - spread), min(1.0, center + spread))
 
 
-def chi_square_statistic(observed: Sequence[int], expected: Sequence[float]) -> float:
-    if len(observed) != len(expected):
-        raise ValueError("observed and expected lengths differ")
-    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-
-
-def chi_square_sf(stat: float, df: int) -> float:
-    """Upper tail P[X >= stat] for a chi-square variable, integer df.
-
-    Closed forms: a finite exponential series for even df, erfc plus a
-    half-integer series for odd df.
-    """
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if stat <= 0:
-        return 1.0
-    x = stat / 2.0
-    if df % 2 == 0:
-        term = 1.0
-        total = 1.0
-        for j in range(1, df // 2):
-            term *= x / j
-            total += term
-        return min(1.0, math.exp(-x) * total)
-    total = 0.0
-    term = math.sqrt(x) / math.gamma(1.5)
-    for j in range(1, (df - 1) // 2 + 1):
-        if j > 1:
-            term *= x / (j - 0.5)
-        total += term
-    return min(1.0, math.erfc(math.sqrt(x)) + math.exp(-x) * total)
-
-
 # ---------------------------------------------------------------------------
 # Ball sets
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -32,8 +31,6 @@ from .ballsbins import (
     SEED_SCHEME,
     SET_KINDS,
     build_ball_set,
-    chi_square_sf,
-    chi_square_statistic,
     check_e1_e2_implication,
     distribution_mean,
     distribution_tail,
@@ -365,45 +362,38 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tally_uniform_rows(u, f, samples, rng) -> Counter:
-    """How often each row tuple comes up in `samples` uniform f x u matrices.
-
-    These are gf2._uniform_rows' getrandbits(u) calls, in its order, grouped
-    f at a time by zip, so the tally and the generator state after it are
-    the same as a loop of _uniform_rows would leave; the rows are made in C.
-    """
-    return Counter(zip(*[map(rng.getrandbits, repeat(u, f * samples))] * f))
+def _every_map(in_dim, out_dim):
+    """Every linear map in_dim -> out_dim, in all_matrices' order."""
+    return (_trusted(LinearMap, in_dim=in_dim, out_dim=out_dim, row_bits=rows)
+            for rows in all_matrices(in_dim, out_dim))
 
 
-def _check_composition_uniformity(rng, samples, inject_fault=False):
-    u, f, b = 2, 2, 1
-    T1 = sample_surjective(f, b, rng)
-    inner = _tally_uniform_rows(u, f, samples, rng)
-    tally = Counter()
-    # at most 2^(u f) = 16 distinct inner maps, each composed once
-    for rows, count in inner.items():
-        key = compose(T1, _trusted(LinearMap, in_dim=u, out_dim=f, row_bits=rows)).row_bits
-        if inject_fault:
-            key = (key[0] | 1,) + key[1:]  # stuck bit collapses half the maps
-        tally[key] += count
-    cells = list(all_matrices(u, b))
-    observed = [tally.get(c, 0) for c in cells]
-    expected = [samples / len(cells)] * len(cells)
-    stat = chi_square_statistic(observed, expected)
-    p = chi_square_sf(stat, len(cells) - 1)
-    ok = len(cells) == 1 << (u * b) and p >= 0.001
-    return ok, f"chi2={stat:.3f} df={len(cells) - 1} p={p:.5f} n={samples}"
+def _check_composition_uniformity(inject_fault=False):
+    """For every surjective T1: f -> b, T0 -> T1 T0 must hit each of the
+    2^(u b) maps u -> b exactly 2^(u (f - b)) times."""
+    outer_maps = uneven = 0
+    for u, f, b in ((2, 2, 1), (3, 2, 1)):
+        inner = list(_every_map(u, f))
+        for T1 in filter(is_surjective, _every_map(f, b)):
+            tally = Counter()
+            for T0 in inner:
+                key = compose(T1, T0).row_bits
+                if inject_fault:
+                    key = (key[0] | 1,) + key[1:]  # stuck bit collapses half the maps
+                tally[key] += 1
+            outer_maps += 1
+            # the 2^(u f) inner maps split evenly only if every composite is hit
+            if set(tally.values()) != {1 << (u * (f - b))}:
+                uneven += 1
+    return uneven == 0, f"{outer_maps} outer maps, {uneven} uneven"
 
 
 def _check_factorization_count(dims):
     mismatches = 0
     cases = 0
     for u, f, b in dims:
-        outer = (_trusted(LinearMap, in_dim=f, out_dim=b, row_bits=rows)
-                 for rows in all_matrices(f, b))
-        surjective = [T1 for T1 in outer if is_surjective(T1)]
-        for T in (_trusted(LinearMap, in_dim=u, out_dim=b, row_bits=rows)
-                  for rows in all_matrices(u, b)):
+        surjective = list(filter(is_surjective, _every_map(f, b)))
+        for T in _every_map(u, b):
             want = 1 << ((f - b) * (u - rank(T)))
             for T1 in surjective:
                 cases += 1
@@ -476,9 +466,7 @@ def _verify_rng(args, label):
 
 # check name -> runner(args) returning (ok, detail), in the order verify runs them
 VERIFY_CHECKS = {
-    "composition-uniformity": lambda args: _check_composition_uniformity(
-        _verify_rng(args, "composition"), args.samples, args.inject_fault
-    ),
+    "composition-uniformity": lambda args: _check_composition_uniformity(args.inject_fault),
     "factorization-count": lambda args: _check_factorization_count(
         ((3, 2, 1), (2, 2, 1))
     ),
@@ -638,8 +626,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="exhaustive small-dimension self checks")
     sp.add_argument("--check", choices=VERIFY_CHECKS, default=None,
                     help="run one check")
-    sp.add_argument("--samples", type=_positive_int, default=20_000,
-                    help="draws for the composition uniformity chi-square")
     sp.add_argument("--instances", type=_positive_int, default=1_000,
                     help="random instances for equivalence style checks")
     sp.add_argument("--inject-fault", action="store_true",

@@ -83,8 +83,7 @@ def test_criterion_02_monte_carlo_matches_exact(tmp_path):
 
 
 def test_criterion_03_composition_uniformity():
-    rng = substream(MASTER, "acceptance", "composition")
-    ok, detail = _check_composition_uniformity(rng, 100_000)  # ok requires 4 cells
+    ok, detail = _check_composition_uniformity()
     report(3, "composition uniformity", ok, detail)
     assert ok
 

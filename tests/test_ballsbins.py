@@ -22,8 +22,6 @@ from linbins.ballsbins import (
     bin_counts,
     build_ball_set,
     check_e1_e2_implication,
-    chi_square_sf,
-    chi_square_statistic,
     derive_seed,
     distribution_mean,
     distribution_tail,
@@ -122,33 +120,6 @@ class TestWilson:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
-
-
-class TestChiSquare:
-    def test_statistic(self):
-        assert chi_square_statistic([5, 5], [5.0, 5.0]) == 0.0
-        assert chi_square_statistic([8, 2], [5.0, 5.0]) == pytest.approx(3.6)
-
-    def test_survival_function_anchors(self):
-        # standard quantile-table anchors
-        for stat, df, p in [
-            (3.841, 1, 0.05),
-            (6.635, 1, 0.01),
-            (9.488, 4, 0.05),
-            (16.266, 3, 0.001),
-            (37.697, 15, 0.001),
-        ]:
-            assert chi_square_sf(stat, df) == pytest.approx(p, rel=0.01)
-
-    def test_edges(self):
-        assert chi_square_sf(0.0, 3) == 1.0
-        assert chi_square_sf(1e6, 3) == 0.0
-        with pytest.raises(ValueError):
-            chi_square_sf(1.0, 0)
-
-    def test_monotone_in_stat(self):
-        vals = [chi_square_sf(x, 5) for x in (0.5, 1, 2, 4, 8, 16, 32)]
-        assert vals == sorted(vals, reverse=True)
 
 
 # ---------------------------------------------------------------------------

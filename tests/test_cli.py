@@ -3,17 +3,15 @@
 import concurrent.futures
 import io
 import json
-import random
 import re
 import tempfile
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from linbins import __version__, ballsbins, cli, gf2
+from linbins import __version__, ballsbins, cli
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
 from linbins.gf2 import BytePlanes, SubspaceBasis
@@ -385,7 +383,7 @@ class TestBounds:
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
-        code = main(["verify", "--samples", "4000", "--instances", "200"])
+        code = main(["verify", "--instances", "200"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("PASS") == 6
@@ -398,7 +396,7 @@ class TestVerify:
         assert out.startswith("PASS factorization-count")
 
     @pytest.mark.parametrize("argv,names", [
-        (["--samples", "4000", "--instances", "200"], VERIFY_CHECKS),
+        (["--instances", "200"], VERIFY_CHECKS),
         (["--check", "pairwise-independence"], ("pairwise-independence",)),
     ])
     def test_timing_per_check_on_stderr(self, argv, names, capsys):
@@ -410,7 +408,7 @@ class TestVerify:
         assert "time" not in captured.out
 
     @pytest.mark.parametrize("value", ["0", "-5", "x"])
-    @pytest.mark.parametrize("flag", ["--samples", "--instances"])
+    @pytest.mark.parametrize("flag", ["--instances"])
     def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
         assert main(["verify", flag, value]) == 1
         captured = capsys.readouterr()
@@ -446,25 +444,36 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "verify.txt").exists()
 
-    @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
-    @pytest.mark.parametrize("u,f", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 5)])
-    def test_composition_tally_keeps_the_stream(self, u, f, samples):
-        # the zip-grouped draws are _uniform_rows' draws, row 0 first, so the
-        # tally, its first-seen order and the generator state after it agree
-        ref, rng = random.Random(29), random.Random(29)
-        want = Counter(gf2._uniform_rows(u, f, ref) for _ in range(samples))
-        got = cli._tally_uniform_rows(u, f, samples, rng)
-        assert list(got.items()) == list(want.items())
-        assert rng.getstate() == ref.getstate()
-
-    def test_injected_fault_detected(self, capsys):
-        code = main([
-            "verify", "--check", "composition-uniformity",
-            "--samples", "3000", "--inject-fault",
-        ])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("check", [[], ["--check", "composition-uniformity"]],
+                             ids=["all-checks", "one-check"])
+    @pytest.mark.parametrize("instances", ["1", "40"])
+    @pytest.mark.parametrize("seed", ["1", "3", "7", "99", "-3"])
+    def test_injected_fault_detected(self, seed, instances, check, capsys):
+        # the composition check enumerates, so no flag value lets the fault pass
+        code = main(["verify", "--seed", seed, "--instances", instances,
+                     "--inject-fault"] + check)
         assert code == 3
-        assert "FAIL composition-uniformity" in out
+        assert "FAIL composition-uniformity" in capsys.readouterr().out
+
+    def test_composition_line_ignores_the_seed(self, capsys, monkeypatch):
+        argv = ["verify", "--check", "composition-uniformity"]
+        lines = set()
+        for seed in ("1", "3", "7", "99", "-3"):
+            assert main(argv + ["--seed", seed]) == 0
+            lines.add(capsys.readouterr().out)
+            monkeypatch.setenv("LINBINS_SEED", seed)
+            assert main(argv) == 0
+            lines.add(capsys.readouterr().out)
+        assert lines == {"PASS composition-uniformity: 6 outer maps, 0 uneven\n"}
+
+    def test_samples_config_key_refused(self, tmp_path, capsys):
+        # the composition check draws nothing, so a sample count is unknown
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"samples": 3000}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: unknown config keys: samples\n"
+        assert captured.out == ""
 
 
 class TestTableBench:
@@ -660,7 +669,7 @@ class TestFailureExitCodes:
 # the flag out.  Runs stay small: --jobs is always 1, and the flags in _KEEP
 # are never left out, so no default-sized workload runs.
 _BAD = (None, "-1", "0", "x", "2.5", "", ",")
-_KEEP = {"--trials", "--samples", "--instances", "--n"}
+_KEEP = {"--trials", "--instances", "--n"}
 _SETS = ("interval", "random", "cluster", "subspace", "affine")
 _FUZZ_FLAGS = {
     "simulate": {
@@ -700,7 +709,6 @@ _FUZZ_FLAGS = {
     },
     "verify": {
         "--check": (None, *VERIFY_CHECKS),
-        "--samples": ("1", "50", "400"),
         "--instances": ("1", "5", "20"),
         "--inject-fault": (None, True),
     },

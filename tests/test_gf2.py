@@ -524,18 +524,6 @@ class TestSampling:
         ones = sum(sample_uniform_affine(3, 2, rng).translation_bits & 1 for _ in range(n))
         assert abs(ones / n - 0.5) < 0.02
 
-    def test_composition_uniformity_exhaustive(self):
-        # Fixed surjective outer map; sweeping every inner map must hit every
-        # composite map the same number of times.
-        for t1_bits in (0b01, 0b10, 0b11):
-            T1 = LinearMap.from_row_bits(2, [t1_bits])
-            tally = {}
-            for T0 in all_linear_maps(2, 2):
-                T = compose(T1, T0)
-                tally[T.row_bits] = tally.get(T.row_bits, 0) + 1
-            assert len(tally) == 4
-            assert set(tally.values()) == {4}
-
 
 # ---------------------------------------------------------------------------
 # factorization

@@ -92,6 +92,17 @@ def test_verify_factorization_enumeration_builds_checked_maps():
         assert_equals_checked(value)
 
 
+def test_verify_composition_enumeration_builds_checked_maps():
+    with recording_trusted() as built:
+        ok, _ = cli._check_composition_uniformity()
+    assert ok
+    # per (u, f, b): every inner map u -> f, every outer map f -> b, and one
+    # composite per (surjective outer, inner) pair; 3 of the 4 outer maps are onto
+    assert sum(type(v) is LinearMap for v in built) == (16 + 4 + 3 * 16) + (64 + 4 + 3 * 64)
+    for value in built:
+        assert_equals_checked(value)
+
+
 def test_trusted_value_keeps_class_defaults_and_caches():
     T = trusted(LinearMap, in_dim=9, out_dim=3, row_bits=(1, 2, 3))
     assert T.translation_bits is None and T == LinearMap(9, 3, (1, 2, 3))

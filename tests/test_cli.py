@@ -421,13 +421,10 @@ class TestVerify:
     @pytest.mark.parametrize("argv,golden,code", [
         (["verify"], "verify-default.txt", 0),
         (["verify", "--seed", "7"], "verify-seed7.txt", 0),
-        (["verify", "--seed", "99", "--samples", "3000", "--instances", "300"],
-         "verify-seed99-s3000-i300.txt", 0),
-        (["verify", "--check", "composition-uniformity", "--samples", "3000",
-          "--inject-fault"], "verify-composition-fault.txt", 3),
-        # one composition draw: the smallest tally the chi-square reads
-        (["verify", "--seed", "3", "--samples", "1", "--instances", "40"],
-         "verify-seed3-s1-i40.txt", 0),
+        (["verify", "--seed", "99", "--instances", "300"], "verify-seed99-i300.txt", 0),
+        (["verify", "--check", "composition-uniformity", "--inject-fault"],
+         "verify-composition-fault.txt", 3),
+        (["verify", "--seed", "3", "--instances", "40"], "verify-seed3-i40.txt", 0),
     ])
     def test_stdout_pinned(self, argv, golden, code, capsys, monkeypatch):
         monkeypatch.delenv("LINBINS_SEED", raising=False)

@@ -31,7 +31,7 @@ from .gf2 import (
     SubspaceBasis,
     _apply_rows,
     _check_guard,
-    _rank_of_bits,
+    _independent_bits,
     _rref_bits,
     _section_and_kernel,
     _span,
@@ -121,7 +121,8 @@ class BallSet:
     was passed, so equal members make equal sets; listed_bits is left out of
     the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
     listed members themselves, uncached, or shift ^ span(basis) in
-    subset-XOR order, made and cached on first use under the size guard.
+    subset-XOR order, in the container a listed set of that width holds,
+    made and cached on first use under the size guard.
     `planes` holds the members as byte planes for the batch kernel, and
     `linear_basis` the basis the rank route reads, each built on first use.
     """
@@ -144,7 +145,7 @@ class BallSet:
             if any(v < 0 or v >> u for v in basis + (shift,)):
                 raise ValueError(f"basis or shift out of range for universe dim {u}")
             # shift ^ span(basis) repeats no member exactly when the basis is independent
-            if _rank_of_bits(basis) != len(basis):
+            if len(_independent_bits(basis)) != len(basis):
                 raise ValueError("ball set members must be distinct")
             return
         bits = self.listed_bits
@@ -162,10 +163,14 @@ class BallSet:
         return self._span_members if listed is None else listed
 
     @cached_property
-    def _span_members(self) -> tuple[int, ...]:
-        """A linear set's members, cached; a failed guard caches nothing."""
+    def _span_members(self) -> Sequence[int]:
+        """A linear set's members, doubled into the container `_packed` gives a
+        listed set of its width, cached; a failed guard caches nothing."""
         _check_guard(len(self.basis_bits), "subspace enumeration")
-        return tuple(map((self.shift_bits or 0).__xor__, _span(self.basis_bits)))
+        u, start = self.universe_dim, [self.shift_bits or 0]
+        if u > 64:  # a tuple cannot be doubled in place
+            return _packed(_span(self.basis_bits, start), u)
+        return _span(self.basis_bits, _packed(start, u))
 
     @property
     def size(self) -> int:
@@ -270,19 +275,8 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
 
 def _sample_independent(universe_dim: int, dim: int, rng: random.Random) -> list[int]:
     """dim linearly independent uniform draws; a draw in the span of those
-    kept is dropped.  Each draw is reduced against an echelon of the kept
-    vectors, which grows by the reduced draw when that is nonzero."""
-    vecs: list[int] = []
-    echelon: list[tuple[int, int]] = []  # (reduced vector, its lowest set bit)
-    while len(vecs) < dim:
-        c = r = rng.getrandbits(universe_dim)
-        for p, low in echelon:
-            if r & low:
-                r ^= p
-        if r:
-            echelon.append((r, r & -r))
-            vecs.append(c)
-    return vecs
+    kept is dropped, and no draw is made once dim are kept."""
+    return _independent_bits(map(rng.getrandbits, repeat(universe_dim)), dim)
 
 
 def generate_set(kind: str, universe_dim: int, size_or_dim: int,
@@ -399,7 +393,7 @@ def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[i
         basis = balls.basis_bits
         d = len(basis)
         rows = map(apply_basis or partial(_apply_rows, basis), T.row_bits)
-        return 1 << (d - _rank_of_bits(rows, min(d, T.out_dim)))
+        return 1 << (d - len(_independent_bits(rows, min(d, T.out_dim))))
     return _largest_load(_images(T, balls), T.out_dim)
 
 
@@ -802,7 +796,7 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
     tally = bin_counts(T, S)
     span_bits = S.basis_bits
     ker_bits = kernel_basis(T).basis_bits
-    sum_rank = _rank_of_bits(span_bits + ker_bits)
+    sum_rank = len(_independent_bits(span_bits + ker_bits))
     k = len(span_bits) + len(ker_bits) - sum_rank
     expected = 1 << k
     zero_count = tally[0]

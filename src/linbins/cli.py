@@ -484,6 +484,8 @@ VERIFY_CHECKS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.inject_fault and args.check not in (None, "composition-uniformity"):
+        raise UsageError(f"--inject-fault corrupts only composition-uniformity, not {args.check}")
     all_ok = True
     for name in [args.check] if args.check else VERIFY_CHECKS:
         start = time.perf_counter()

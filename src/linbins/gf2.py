@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, MutableSequence, Sequence, TypeVar
 
 
 class SizeGuardError(ValueError):
@@ -89,15 +89,6 @@ class LinearMap:
         if t is not None and (t < 0 or t >> self.out_dim):
             raise ValueError(f"translation 0x{t:x} not canonical for out_dim {self.out_dim}")
 
-    @classmethod
-    def from_row_bits(
-        cls,
-        in_dim: int,
-        row_bits: Sequence[int],
-        translation_bits: int | None = None,
-    ) -> "LinearMap":
-        return cls(in_dim, len(row_bits), tuple(row_bits), translation_bits)
-
     @property
     def is_linear(self) -> bool:
         return not self.translation_bits
@@ -133,17 +124,12 @@ class SubspaceBasis:
                 raise ValueError(
                     f"basis vector 0x{v:x} not canonical for ambient dim {self.ambient_dim}"
                 )
-        if _rank_of_bits(self.basis_bits) != len(self.basis_bits):
+        if len(_independent_bits(self.basis_bits)) != len(self.basis_bits):
             raise ValueError("basis vectors are not linearly independent")
 
     @property
     def dim(self) -> int:
         return len(self.basis_bits)
-
-    def span_bits(self) -> list[int]:
-        """All packed vectors in the span, in subset-XOR order."""
-        _check_guard(self.dim, "span enumeration")
-        return _span(self.basis_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +137,26 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-def _rank_of_bits(rows: Iterable[int], stop: int | None = None) -> int:
-    """Rank over GF(2) by elimination on packed rows.
-
-    Rows are read lazily and in order.  Once the rank reaches `stop` (an
-    upper bound on it, such as the column count) no further row is read.
+def _independent_bits(rows: Iterable[int], stop: int | None = None) -> list[int]:
+    """Each row outside the span of the rows before it, in order, so len() is
+    the rank over GF(2).  Rows are read lazily and reduced against an echelon
+    of the kept ones; none is read once `stop` are kept, or at all if stop == 0.
     """
+    kept: list[int] = []
     if stop == 0:
-        return 0
-    pivots: list[int] = []
+        return kept
+    echelon: list[int] = []
     for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            if len(pivots) == stop:
+        r = row
+        for p in echelon:
+            if r & (p & -p):
+                r ^= p
+        if r:
+            echelon.append(r)
+            kept.append(row)
+            if len(kept) == stop:
                 break
-    return len(pivots)
+    return kept
 
 
 def _rref_bits(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -214,11 +201,13 @@ def _transpose(rows: Sequence[int], ncols: int) -> list[int]:
     return cols
 
 
-def _span(vectors: Sequence[int]) -> list[int]:
-    """All XOR combinations of the vectors, in subset-XOR order."""
-    out = [0]
+def _span(vectors: Sequence[int], out: MutableSequence[int] | None = None) -> Sequence[int]:
+    """out[0] ^ every XOR combination of the vectors, in subset-XOR order,
+    doubled in place into out (a list or an array of one element, [0] when
+    omitted) from a copy of itself, once per vector."""
+    out = [0] if out is None else out
     for v in vectors:
-        out.extend([w ^ v for w in out])
+        out.extend(map(v.__xor__, out[:]))
     return out
 
 
@@ -252,7 +241,7 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
 
 def rank(T: LinearMap) -> int:
     """Row rank over GF(2) via Gaussian elimination."""
-    return _rank_of_bits(T.row_bits)
+    return len(_independent_bits(T.row_bits))
 
 
 def _kernel_vectors(reduced: Sequence[int], pivots: Sequence[int],

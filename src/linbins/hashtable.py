@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from .gf2 import (
     BATCH_MIN,
@@ -176,11 +176,6 @@ class LinearHashTable:
             raise self._width_error(key)
         kbits = key.bits
         return kbits in self._buckets[self._bucket_of(kbits)][::2]
-
-    def keys(self) -> Iterator[GF2Vector]:
-        for chain in self._buckets:
-            for kbits in chain[::2]:
-                yield GF2Vector(self._key_bits, kbits)
 
     def _grow(self) -> None:
         self._bucket_bits += 1

@@ -40,7 +40,7 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
-    _rank_of_bits,
+    _rref_bits,
     _span,
     compose,
     kernel_basis,
@@ -61,12 +61,17 @@ def full_universe(u):
     return generate_set("interval", u, 1 << u)
 
 
+def rows_map(in_dim, rows, translation_bits=None):
+    """The map with these packed rows, one output bit per row."""
+    return LinearMap(in_dim, len(rows), tuple(rows), translation_bits)
+
+
 def identity(dim):
-    return LinearMap.from_row_bits(dim, [1 << i for i in range(dim)])
+    return rows_map(dim, [1 << i for i in range(dim)])
 
 
 def zero_map(in_dim, out_dim):
-    return LinearMap.from_row_bits(in_dim, [0] * out_dim)
+    return rows_map(in_dim, [0] * out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ class TestGenerateSet:
 
     def test_subspace_dim_zero(self):
         S = generate_set("subspace", 3, 0, random.Random(0))
-        assert S.member_bits == (0,)
+        assert list(S.member_bits) == [0]
         assert S.basis_bits == ()
 
     def test_random_distinct_and_deterministic(self):
@@ -211,7 +216,7 @@ class TestGenerateSet:
             vecs = []
             while len(vecs) < dim:
                 c = rng.getrandbits(u)
-                if _rank_of_bits(vecs + [c]) == len(vecs) + 1:
+                if len(_rref_bits(vecs + [c], u)[0]) == len(vecs) + 1:
                     vecs.append(c)
             return vecs
 
@@ -288,9 +293,9 @@ class TestBinCounts:
 
     def test_example_counts(self):
         S = full_universe(2)
-        h = bin_counts(LinearMap.from_row_bits(2, [0b10]), S)
+        h = bin_counts(rows_map(2, [0b10]), S)
         assert h == {0: 2, 1: 2}
-        assert largest_bin(LinearMap.from_row_bits(2, [0b11]), S) == 2
+        assert largest_bin(rows_map(2, [0b11]), S) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -303,7 +308,7 @@ class TestBinCounts:
         b = data.draw(st.integers(1, 4))
         size = data.draw(st.integers(1, 1 << u))
         S = generate_set("interval", u, size)
-        T = LinearMap.from_row_bits(
+        T = rows_map(
             u, [data.draw(st.integers(0, (1 << u) - 1)) for _ in range(b)]
         )
         h = bin_counts(T, S)
@@ -442,9 +447,9 @@ class TestRankRoute:
                         L,
                         LinearMap(u, b, rows, rng.randrange(1, 1 << b)),
                         zero_map(u, b),
-                        LinearMap.from_row_bits(u, [rows[0]] * b),
-                        LinearMap.from_row_bits(u, [rows[i % 2] for i in range(b)]),
-                        LinearMap.from_row_bits(u, [0] * (b - 1) + [rows[-1]]),
+                        rows_map(u, [rows[0]] * b),
+                        rows_map(u, [rows[i % 2] for i in range(b)]),
+                        rows_map(u, [0] * (b - 1) + [rows[-1]]),
                     )
                     for T in maps:
                         assert largest_bin(T, S) == max(bin_counts(T, S).values())
@@ -458,7 +463,7 @@ class TestRankRoute:
             yield from (1, 2, 4)
             raise AssertionError("made a row of T B past full rank")
 
-        T = LinearMap.from_row_bits(5, [1, 2, 4, 8, 16])
+        T = rows_map(5, [1, 2, 4, 8, 16])
         assert largest_bin(T, S) == 1
         assert ballsbins._largest_bin_of(SimpleNamespace(row_bits=rows(), out_dim=5), B) == 1
 
@@ -569,16 +574,39 @@ class TestRankRoute:
             BallSet(*args)
 
     def test_members_are_the_shifted_span(self):
-        assert BallSet(3, None, "subspace", (2, 1)).member_bits == (0, 2, 1, 3)
-        assert BallSet(3, None, "affine", (2, 1), 4).member_bits == (4, 6, 5, 7)
-        assert BallSet(3, None, "affine", (2,)).member_bits == (0, 2)
+        # values in order: an array of members never equals a tuple
+        assert list(BallSet(3, None, "subspace", (2, 1)).member_bits) == [0, 2, 1, 3]
+        assert list(BallSet(3, None, "affine", (2, 1), 4).member_bits) == [4, 6, 5, 7]
+        assert list(BallSet(3, None, "affine", (2,)).member_bits) == [0, 2]
         rng = random.Random(96)
         for kind in ("subspace", "affine"):
             for d in range(9):
                 S = generate_set(kind, 9, d, rng)
                 shift = S.shift_bits or 0
-                assert S.member_bits == tuple(shift ^ x for x in _span(S.basis_bits))
+                assert list(S.member_bits) == [shift ^ x for x in _span(S.basis_bits)]
                 assert S.size == len(S.member_bits) == 1 << d
+
+    @pytest.mark.parametrize("u", (8, 16, 30, 64, 70))
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_members_in_the_listed_container(self, kind, u):
+        S = generate_set(kind, u, 5, random.Random(u))
+        listed = ballsbins._packed([0], u)
+        assert type(S.member_bits) is type(listed)
+        assert getattr(S.member_bits, "typecode", None) == getattr(listed, "typecode", None)
+        assert len(S.member_bits) == 32
+        assert S.planes == gf2.BytePlanes.from_bits(list(S.member_bits), u)
+
+    def test_span_members_build_within_twice_the_array(self):
+        # doubled in place, the members never sit in a container of int objects
+        S = generate_set("affine", 30, 18, random.Random(95))
+        tracemalloc.start()
+        try:
+            members = S.member_bits
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(members) == 1 << 18
+        assert peak < 2 * members.itemsize * len(members)
 
     def test_listed_members_are_not_copied(self):
         rng = random.Random(98)
@@ -632,7 +660,7 @@ class TestEventE1:
 
     def test_example(self):
         S = full_universe(2)
-        T = LinearMap.from_row_bits(2, [0b11])
+        T = rows_map(2, [0b11])
         assert event_e1(S, T, 2)
         assert not event_e1(S, T, 3)
 
@@ -722,7 +750,7 @@ class TestEventE2:
     def test_fibers_are_brute_force_preimages(self):
         # every surjective outer map at f <= 4, and random ones up to f = 12
         rng = random.Random(2907)
-        small = [LinearMap.from_row_bits(f, rows) for f in range(1, 5)
+        small = [rows_map(f, rows) for f in range(1, 5)
                  for b in range(1, f + 1) for rows in gf2.all_matrices(f, b)]
         drawn = [sample_surjective(f, b, rng) for f in range(1, 13)
                  for b in sorted({1, rng.randint(1, f), f}) for _ in range(3)]
@@ -741,7 +769,7 @@ class TestEventE2:
         # aligned runs [16y, 16y+16); 16 consecutive points from 2 fill no
         # fiber, while the same run from 16 fills the fiber of label 1
         T0 = identity(6)
-        T1 = LinearMap.from_row_bits(6, [1 << 4, 1 << 5])
+        T1 = rows_map(6, [1 << 4, 1 << 5])
         for start, want in ((2, False), (16, True)):
             S = BallSet(6, tuple(range(start, start + 16)), "interval")
             assert event_e2(S, T0, T1) is want
@@ -823,7 +851,7 @@ class TestEventE2:
         rng = random.Random(7)
         S = generate_set("random", 4, 9, rng)
         T0 = sample_uniform_linear(4, 3, rng)
-        T1 = LinearMap.from_row_bits(3, [0b011, 0b110], translation_bits=0b01)
+        T1 = rows_map(3, [0b011, 0b110], translation_bits=0b01)
         for check in (event_e2, event_e2_direct):
             with pytest.raises(ValueError, match="linear"):
                 check(S, T0, T1)
@@ -1163,7 +1191,7 @@ class TestSubspaceStructure:
             span_bits = list(S.basis_bits)
             ker_bits = list(ker.basis_bits)
             expected_k = (
-                len(span_bits) + len(ker_bits) - _rank_of_bits(span_bits + ker_bits)
+                len(span_bits) + len(ker_bits) - len(_rref_bits(span_bits + ker_bits, u)[0])
             )
             assert report.intersection_dim == expected_k
 

@@ -452,6 +452,21 @@ class TestVerify:
         assert code == 3
         assert "FAIL composition-uniformity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("check", [c for c in VERIFY_CHECKS if c != "composition-uniformity"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_fault_on_another_check_refused(self, check, via_config, tmp_path, capsys):
+        # the fault corrupts only the composition check, so a clean run of
+        # another check would pass without the negative control ever running
+        argv = ["verify", "--check", check, "--inject-fault"]
+        if via_config:
+            cfg = tmp_path / "verify.json"
+            cfg.write_text(json.dumps({"check": check, "inject_fault": True}))
+            argv = ["verify", "--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and check in captured.err
+
     def test_composition_line_ignores_the_seed(self, capsys, monkeypatch):
         argv = ["verify", "--check", "composition-uniformity"]
         lines = set()

@@ -19,8 +19,10 @@ from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
     SubspaceBasis,
-    _rank_of_bits,
+    _independent_bits,
+    _rref_bits,
     _section_and_kernel,
+    _span,
     all_matrices,
     apply_expression,
     batch_apply_bits,
@@ -50,16 +52,21 @@ def naive_apply(T: LinearMap, x: int) -> int:
     return out
 
 
+def rows_map(in_dim, rows, translation_bits=None):
+    """The map with these packed rows, one output bit per row."""
+    return LinearMap(in_dim, len(rows), tuple(rows), translation_bits)
+
+
 def all_linear_maps(in_dim, out_dim):
-    return (LinearMap.from_row_bits(in_dim, rows) for rows in all_matrices(in_dim, out_dim))
+    return (rows_map(in_dim, rows) for rows in all_matrices(in_dim, out_dim))
 
 
 def identity(dim):
-    return LinearMap.from_row_bits(dim, [1 << i for i in range(dim)])
+    return rows_map(dim, [1 << i for i in range(dim)])
 
 
 def zero_map(in_dim, out_dim):
-    return LinearMap.from_row_bits(in_dim, [0] * out_dim)
+    return rows_map(in_dim, [0] * out_dim)
 
 
 @st.composite
@@ -67,7 +74,7 @@ def linear_maps(draw, max_in=6, max_out=6):
     in_dim = draw(st.integers(1, max_in))
     out_dim = draw(st.integers(1, max_out))
     rows = [draw(st.integers(0, (1 << in_dim) - 1)) for _ in range(out_dim)]
-    return LinearMap.from_row_bits(in_dim, rows)
+    return rows_map(in_dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,7 @@ class TestApply:
             assert zero_map(2, 2).apply_bits(x) == 0
 
     def test_against_naive_oracle_example(self):
-        T = LinearMap.from_row_bits(2, [0b01, 0b11])
+        T = rows_map(2, [0b01, 0b11])
         assert naive_apply(T, 0b11) == 0b01
         assert T.apply_bits(0b11) == naive_apply(T, 0b11)
 
@@ -118,7 +125,7 @@ class TestApply:
         assert T.apply_bits(0) == 0
 
     def test_affine_translation(self):
-        T = LinearMap.from_row_bits(2, [0b01, 0b10], translation_bits=0b11)
+        T = rows_map(2, [0b01, 0b10], translation_bits=0b11)
         assert T.apply_bits(0) == 0b11
         assert T.apply_bits(0b01) == 0b10
 
@@ -340,10 +347,10 @@ class TestCompose:
         u = data.draw(st.integers(1, 5))
         f = data.draw(st.integers(1, 5))
         b = data.draw(st.integers(1, 5))
-        T0 = LinearMap.from_row_bits(
+        T0 = rows_map(
             u, [data.draw(st.integers(0, (1 << u) - 1)) for _ in range(f)]
         )
-        T1 = LinearMap.from_row_bits(
+        T1 = rows_map(
             f, [data.draw(st.integers(0, (1 << f) - 1)) for _ in range(b)]
         )
         T = compose(T1, T0)
@@ -357,7 +364,7 @@ class TestRankKernelImage:
         assert rank(zero_map(4, 2)) == 0
 
     def test_rank_repeated_rows(self):
-        T = LinearMap.from_row_bits(2, [0b11, 0b11])
+        T = rows_map(2, [0b11, 0b11])
         assert rank(T) == 1
 
     def test_rank_against_span_enumeration(self):
@@ -375,14 +382,14 @@ class TestRankKernelImage:
         assert kernel_basis(identity(3)).dim == 0
 
     def test_kernel_single_row(self):
-        T = LinearMap.from_row_bits(2, [0b11])
+        T = rows_map(2, [0b11])
         kb = kernel_basis(T)
         assert list(kb.basis_bits) == [0b11]
 
     def test_kernel_zero_map_everything(self):
         kb = kernel_basis(zero_map(2, 2))
         assert kb.dim == 2
-        assert sorted(kb.span_bits()) == [0, 1, 2, 3]
+        assert sorted(_span(kb.basis_bits)) == [0, 1, 2, 3]
 
     def test_kernel_matches_enumeration(self):
         rng = random.Random(6)
@@ -392,7 +399,7 @@ class TestRankKernelImage:
             T = sample_uniform_linear(u, b, rng)
             kb = kernel_basis(T)
             truth = {x for x in range(1 << u) if T.apply_bits(x) == 0}
-            assert set(kb.span_bits()) == truth
+            assert set(_span(kb.basis_bits)) == truth
             assert kb.dim == u - rank(T)
 
     @settings(max_examples=200)
@@ -400,16 +407,26 @@ class TestRankKernelImage:
         lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=12))))
     def test_rank_stop_at_full_rank(self, args):
         width, rows = args
-        full = _rank_of_bits(rows)
-        assert _rank_of_bits(rows, min(width, len(rows))) == full
+
+        def rref_rank(prefix):
+            return len(_rref_bits(prefix, width)[0])
+
+        full = rref_rank(rows)
+        # the kept rows are those that raise the rank, in input order
+        kept = _independent_bits(rows)
+        assert kept == [row for i, row in enumerate(rows)
+                        if rref_rank(rows[:i + 1]) > rref_rank(rows[:i])]
+        assert len(kept) == full
+        assert _independent_bits(rows, min(width, len(rows))) == kept
         # the shortest prefix of full rank is all that is read
-        prefix = next(i for i in range(len(rows) + 1) if _rank_of_bits(rows[:i]) == full)
+        prefix = next(i for i in range(len(rows) + 1) if rref_rank(rows[:i]) == full)
 
-        def feed():
-            yield from rows[:prefix]
-            raise AssertionError("read a row past the full-rank prefix")
+        def feed(upto):
+            yield from rows[:upto]
+            raise AssertionError("read a row past the stop")
 
-        assert _rank_of_bits(feed(), full) == full
+        assert _independent_bits(feed(prefix), full) == kept
+        assert _independent_bits(feed(0), 0) == []
 
     @settings(max_examples=120)
     @given(linear_maps())
@@ -422,7 +439,7 @@ class TestRankKernelImage:
 
     def test_surjective_1x2_nonzero(self):
         for bits in (0b01, 0b10, 0b11):
-            T = LinearMap.from_row_bits(2, [bits])
+            T = rows_map(2, [bits])
             outputs = {T.apply_bits(x) for x in range(4)}
             assert outputs == {0, 1}
             assert is_surjective(T)
@@ -539,8 +556,8 @@ class TestFactorization:
         # T surjective 3->1 (kernel dim 2), T1 surjective 2->1 (kernel dim 1):
         # 8 factor maps overall falling into 4 kernel-restriction classes of 2,
         # one class per map from Ker(T) to Ker(T1)
-        T = LinearMap.from_row_bits(3, [0b001])
-        T1 = LinearMap.from_row_bits(2, [0b01])
+        T = rows_map(3, [0b001])
+        T1 = rows_map(2, [0b01])
         factors = [T0 for T0 in all_linear_maps(3, 2) if compose(T1, T0) == T]
         assert len(factors) == 8
         ker = kernel_basis(T).basis_bits
@@ -590,11 +607,11 @@ class TestFactorization:
             count_factorizations(T, zero_map(2, 1))
 
     def test_count_examples(self):
-        T = LinearMap.from_row_bits(3, [0b001])  # rank 1, kernel dim 2
-        T1 = LinearMap.from_row_bits(2, [0b01])
+        T = rows_map(3, [0b001])  # rank 1, kernel dim 2
+        T1 = rows_map(2, [0b01])
         assert count_factorizations(T, T1) == 4
 
-        T = LinearMap.from_row_bits(2, [0b01])  # rank 1, kernel dim 1
+        T = rows_map(2, [0b01])  # rank 1, kernel dim 1
         assert count_factorizations(T, T1) == 2
 
     def test_count_matches_closed_form_sweep(self):

@@ -15,7 +15,7 @@ from linbins.gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
-    _rank_of_bits,
+    _rref_bits,
     kernel_basis,
     sample_uniform_affine,
     sample_uniform_linear,
@@ -25,6 +25,11 @@ from linbins.hashtable import LinearHashTable
 
 def key(bits, dim=8):
     return GF2Vector(dim, bits)
+
+
+def stored_bits(t):
+    """The table's key bits, walking its chains in bucket order, then chain order."""
+    return [kbits for chain in t._buckets for kbits in chain[::2]]
 
 
 class TestConstruction:
@@ -196,7 +201,7 @@ class TestStructure:
         for x in span:
             t.insert(GF2Vector(6, x), x)
         ker_bits = list(kernel_basis(hash_map).basis_bits)
-        k = len(basis) + len(ker_bits) - _rank_of_bits(basis + ker_bits)
+        k = len(basis) + len(ker_bits) - len(_rref_bits(basis + ker_bits, 6)[0])
         assert t.max_chain() == 1 << k
 
     def test_audit_passes_through_mixed_workload(self):
@@ -298,7 +303,7 @@ class TestStructure:
                 out.append(t.remove(k))
         s = t.stats()
         assert (s.size, s.bucket_bits, s.resizes) == (343, 9, 7)
-        blob = repr((out, dataclasses.astuple(s), [k.bits for k in t.keys()]))
+        blob = repr((out, dataclasses.astuple(s), stored_bits(t)))
         assert hashlib.sha256(blob.encode()).hexdigest() == self.MIXED_DIGEST
 
     def test_int_valued_table_holds_few_gc_objects(self):
@@ -319,7 +324,7 @@ class TestStructure:
         t = LinearHashTable(8, 3, random.Random(18))
         for i in range(6):
             t.insert(key(i), i)
-        assert {k.bits for k in t.keys()} == set(range(6))
+        assert set(stored_bits(t)) == set(range(6))
 
 
 class TestTableBuckets:
@@ -375,7 +380,7 @@ class TestTableBuckets:
             t.insert(GF2Vector(key_bits, x), None)
             x += 1
         resizes, bucket_bits = t.stats().resizes, t.bucket_bits
-        some_key = next(iter(t.keys()))
+        some_key = GF2Vector(key_bits, stored_bits(t)[0])
         t.insert(some_key, "replaced")
         assert t.get(some_key) == "replaced"
         assert (t.stats().resizes, t.bucket_bits) == (resizes, bucket_bits)
@@ -462,7 +467,7 @@ class TestGrowRehash:
         for _ in range(3):
             t._grow()  # two keys fill no table, so grow directly
         assert seen == [2, 3, 4]
-        assert sorted(k.bits for k in t.keys()) == [0, 1]
+        assert sorted(stored_bits(t)) == [0, 1]
 
     def test_empty_table(self):
         t = LinearHashTable(16, 2, random.Random(6))

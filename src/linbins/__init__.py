@@ -4,7 +4,6 @@ from .gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
-    SubspaceBasis,
     compose,
     count_factorizations,
     is_surjective,

@@ -1,7 +1,8 @@
 """Balls-into-bins experiments driven by random GF(2) linear maps.
 
 Ball sets live in a u-bit universe; a map hashes them into 2^b bins.  This
-module measures largest-bin sizes, checks the structural events behind the
+module measures largest-bin sizes on a set, by rank on its packed linear basis
+when it has one and by counting otherwise, checks the events behind the
 max-load tail analysis, runs seeded Monte Carlo estimation with confidence
 intervals, and provides exact oracles: closed-form on sets with a linear
 basis, enumerated over every map (small dimensions only) on the others.
@@ -28,7 +29,6 @@ from .gf2 import (
     BytePlanes,
     LinearMap,
     SizeGuardError,
-    SubspaceBasis,
     _apply_rows,
     _check_guard,
     _independent_bits,
@@ -119,10 +119,11 @@ class BallSet:
     is an affine set's coset offset (0 when omitted).  Other kinds list their
     members in listed_bits, stored as `_packed` stores them whatever sequence
     was passed, so equal members make equal sets; listed_bits is left out of
-    the hash.  A cluster's basis_bits spans its core.  `member_bits` is the
-    listed members themselves, uncached, or shift ^ span(basis) in
-    subset-XOR order, in the container a listed set of that width holds,
-    made and cached on first use under the size guard.
+    the hash.  A listed set takes no shift, and only a cluster takes a basis,
+    which spans its core.  Every basis is checked in range and independent.
+    `member_bits` is the listed members themselves, uncached, or shift ^
+    span(basis) in subset-XOR order, in the container a listed set of that
+    width holds, made and cached on first use under the size guard.
     `planes` holds the members as byte planes for the batch kernel, and
     `linear_basis` the basis the rank route reads, each built on first use.
     """
@@ -134,28 +135,31 @@ class BallSet:
     shift_bits: int | None = None
 
     def __post_init__(self) -> None:
-        u = self.universe_dim
-        if self.kind in LINEAR_KINDS:
-            basis = self.basis_bits
+        u, kind, basis = self.universe_dim, self.kind, self.basis_bits
+        if kind in LINEAR_KINDS:
             if self.listed_bits is not None or basis is None:
-                raise ValueError(f"a {self.kind} set takes a basis and no member list")
-            if self.kind == "subspace" and self.shift_bits:
+                raise ValueError(f"a {kind} set takes a basis and no member list")
+            if kind == "subspace" and self.shift_bits:
                 raise ValueError("a subspace set has no shift")
-            shift = self.shift_bits or 0
-            if any(v < 0 or v >> u for v in basis + (shift,)):
+        else:
+            bits = self.listed_bits
+            if not bits:
+                raise ValueError("a ball set needs at least one member")
+            if min(bits) < 0 or max(bits) >> u:
+                raise ValueError(f"member out of range for universe dim {u}")
+            if len(set(bits)) != len(bits):
+                raise ValueError("ball set members must be distinct")
+            if self.shift_bits is not None:
+                raise ValueError(f"a {kind} set has no shift")
+            if basis is not None and kind != "cluster":
+                raise ValueError(f"a {kind} set takes no basis")
+            object.__setattr__(self, "listed_bits", _packed(bits, u))
+        if basis is not None:
+            if any(v < 0 or v >> u for v in basis + (self.shift_bits or 0,)):
                 raise ValueError(f"basis or shift out of range for universe dim {u}")
             # shift ^ span(basis) repeats no member exactly when the basis is independent
             if len(_independent_bits(basis)) != len(basis):
-                raise ValueError("ball set members must be distinct")
-            return
-        bits = self.listed_bits
-        if not bits:
-            raise ValueError("a ball set needs at least one member")
-        if min(bits) < 0 or max(bits) >> u:
-            raise ValueError(f"member out of range for universe dim {u}")
-        if len(set(bits)) != len(bits):
-            raise ValueError("ball set members must be distinct")
-        object.__setattr__(self, "listed_bits", _packed(bits, u))
+                raise ValueError("a dependent basis: its span's members must be distinct")
 
     @property
     def member_bits(self) -> Sequence[int]:
@@ -186,21 +190,20 @@ class BallSet:
         return BytePlanes.from_bits(bits, self.universe_dim)
 
     @cached_property
-    def linear_basis(self) -> SubspaceBasis | None:
-        """A basis of span(S - s) when S is a subspace, an affine coset or the
-        interval [0, 2^k); None for any other set.  Built on first use.
+    def linear_basis(self) -> tuple[int, ...] | None:
+        """A packed basis of span(S - s) when S is a subspace, an affine coset
+        or the interval [0, 2^k); None for any other set.  Cached on first use.
 
-        The interval's basis is the unit vectors e_0..e_{k-1}; it is not stored
-        in basis_bits, or the descriptor would print a dimension.
+        A linear set's is basis_bits.  The interval's is the unit vectors
+        e_0..e_{k-1}; it is not stored in basis_bits, or the descriptor would
+        print a dimension.
         """
-        u, n = self.universe_dim, self.size
-        # a linear set's basis was ranked when the set was made
         if self.kind in LINEAR_KINDS:
-            return _trusted(SubspaceBasis, ambient_dim=u, basis_bits=self.basis_bits)
+            return self.basis_bits
+        n = self.size
         # distinct non-negative members with maximum n - 1 are exactly 0..n-1
         if self.kind == "interval" and not n & (n - 1) and max(self.member_bits) == n - 1:
-            unit = tuple(1 << i for i in range(n.bit_length() - 1))
-            return _trusted(SubspaceBasis, ambient_dim=u, basis_bits=unit)
+            return tuple(1 << i for i in range(n.bit_length() - 1))
         return None
 
     @property
@@ -346,15 +349,15 @@ def _images(T: LinearMap, balls: BytePlanes | Sequence[int]) -> Sequence[int]:
     """T's packed image of every ball, in ball order: the batch kernel's words
     on byte planes, a list of scalar applies on packed members.
 
-    The scalar pass is apply_bits with T's rows and translation read once:
-    the translation is XOR-ed in unless it is None, so a sampled 0 counts.
+    The scalar pass is apply_bits with T's rows and translation read once;
+    a translation of 0 is not XOR-ed in.
     """
     if isinstance(balls, BytePlanes):
         return batch_apply_bits(T, balls)
     rows, t = T.row_bits, T.translation_bits
-    if t is None:
-        return list(map(_apply_rows, repeat(rows), balls))
-    return [_apply_rows(rows, x) ^ t for x in balls]
+    if t:
+        return [_apply_rows(rows, x) ^ t for x in balls]
+    return list(map(_apply_rows, repeat(rows), balls))
 
 
 def _largest_load(images: Sequence[int], bin_dim: int) -> int:
@@ -371,16 +374,10 @@ def _largest_load(images: Sequence[int], bin_dim: int) -> int:
     return max(counts)
 
 
-def _lbin_balls(S: BallSet) -> SubspaceBasis | BytePlanes | Sequence[int]:
-    """What a largest-bin measurement over S reads: its basis when it has one,
-    else what an apply pass reads."""
-    basis = S.linear_basis
-    return _balls(S) if basis is None else basis
-
-
-def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[int],
+def _largest_bin_of(T: LinearMap, S: BallSet,
                     apply_basis: Callable[[int], int] | None = None) -> int:
-    """Largest bin of T over balls, as given by `_lbin_balls`.
+    """Largest bin of T over S, by rank when S has a linear basis, else by
+    counting the images of `_balls(S)`.
 
     On a linear set with basis B of dimension d every nonempty bin is a coset
     of span(B) meet Ker(T), so the largest bin is 2^(d - rank(T B)).  Only
@@ -389,12 +386,12 @@ def _largest_bin_of(T: LinearMap, balls: SubspaceBasis | BytePlanes | Sequence[i
     that reads many maps, else by the row-parity loop.  The rows are made
     one at a time, and none after the rank reaches its ceiling min(b, d).
     """
-    if isinstance(balls, SubspaceBasis):
-        basis = balls.basis_bits
-        d = len(basis)
-        rows = map(apply_basis or partial(_apply_rows, basis), T.row_bits)
-        return 1 << (d - len(_independent_bits(rows, min(d, T.out_dim))))
-    return _largest_load(_images(T, balls), T.out_dim)
+    basis = S.linear_basis
+    if basis is None:
+        return _largest_load(_images(T, _balls(S)), T.out_dim)
+    d = len(basis)
+    rows = map(apply_basis or partial(_apply_rows, basis), T.row_bits)
+    return 1 << (d - len(_independent_bits(rows, min(d, T.out_dim))))
 
 
 def _check_map_vs_set(T: LinearMap, S: BallSet) -> None:
@@ -411,7 +408,7 @@ def bin_counts(T: LinearMap, S: BallSet) -> Counter[int]:
 def largest_bin(T: LinearMap, S: BallSet) -> int:
     """Size of the fullest bin; between ceil(|S|/2^b) and |S|."""
     _check_map_vs_set(T, S)
-    return _largest_bin_of(T, _lbin_balls(S))
+    return _largest_bin_of(T, S)
 
 
 def _check_event_args(S: BallSet, T0: LinearMap, T1: LinearMap) -> None:
@@ -451,9 +448,8 @@ def event_e2(S: BallSet, T0: LinearMap, T1: LinearMap) -> bool:
     # P's rows: the free coordinates give the low f-b bits, T1 the top b
     p_rows = [1 << c for c in range(f) if c not in pivots] + list(T1.row_bits)
     q_rows = tuple(_xor_select(T0.row_bits, row) for row in p_rows)
-    t = T0.translation_bits
     Q = _trusted(LinearMap, in_dim=T0.in_dim, out_dim=f, row_bits=q_rows,
-                 translation_bits=t and _apply_rows(p_rows, t))
+                 translation_bits=_apply_rows(p_rows, T0.translation_bits))
     covered = bytearray(1 << f)
     for img in _images(Q, _balls(S)):
         covered[img] = 1
@@ -624,21 +620,21 @@ def build_ball_set(config: ExperimentConfig) -> BallSet:
 
 
 def _trial_chunk(args: tuple) -> list[int]:
-    """The largest bins of trials start..stop-1, one fresh map each.
+    """The largest bins on S of trials start..stop-1, one fresh map each.
 
     One generator is reseeded for every trial's substream.  On a linear set
-    B^T is compiled here, once per chunk, and never travels to a pool worker.
+    B^T is compiled here from S.linear_basis, once per chunk.  A pool worker
+    gets S itself and builds what it reads of it, such as the planes.
     """
-    master_seed, universe_dim, bin_dim, balls, start, stop = args
-    apply_basis = None
-    if isinstance(balls, SubspaceBasis) and balls.dim:
-        apply_basis = apply_expression(LinearMap(universe_dim, balls.dim, balls.basis_bits))
+    master_seed, bin_dim, S, start, stop = args
+    u, basis = S.universe_dim, S.linear_basis
+    apply_basis = apply_expression(LinearMap(u, len(basis), basis)) if basis else None
     rng = random.Random()
     out = []
     for i in range(start, stop):
         substream(master_seed, "trial", i, rng=rng)
-        T = sample_uniform_linear(universe_dim, bin_dim, rng)
-        out.append(_largest_bin_of(T, balls, apply_basis))
+        T = sample_uniform_linear(u, bin_dim, rng)
+        out.append(_largest_bin_of(T, S, apply_basis))
     return out
 
 
@@ -657,7 +653,7 @@ def estimate_tail(config: ExperimentConfig, jobs: int = 1) -> TrialSummary:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     S = build_ball_set(config)
-    base = (config.master_seed, config.universe_dim, config.bin_dim, _lbin_balls(S))
+    base = (config.master_seed, config.bin_dim, S)
     workers = min(jobs, os.cpu_count() or 1, config.trials)
     if workers == 1:
         values = _trial_chunk(base + (0, config.trials))
@@ -731,7 +727,7 @@ def exact_lbin_distribution(bin_dim: int, S: BallSet) -> dict[int, int]:
     basis = S.linear_basis
     if basis is None:
         return _enumerated_lbin_distribution(bin_dim, S)
-    d = len(basis.basis_bits)
+    d = len(basis)
     behind = 1 << (bin_dim * (S.universe_dim - d))
     return {1 << (d - k): _rank_count(bin_dim, d, k) * behind
             for k in range(min(bin_dim, d) + 1)}
@@ -795,7 +791,7 @@ def subspace_structure(T: LinearMap, S: BallSet) -> SubspaceReport:
         raise ValueError("subspace structure requires a linear map (no translation)")
     tally = bin_counts(T, S)
     span_bits = S.basis_bits
-    ker_bits = kernel_basis(T).basis_bits
+    ker_bits = kernel_basis(T)
     sum_rank = len(_independent_bits(span_bits + ker_bits))
     k = len(span_bits) + len(ker_bits) - sum_rank
     expected = 1 << k

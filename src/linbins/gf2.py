@@ -1,9 +1,10 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors are Python ints used as bitsets (bit i = coordinate i), and maps,
-bases and sets store them so.  GF2Vector pairs one with its dimension as the
-key type of LinearHashTable.  Matrices are stored row-major as packed words;
-applying a map is one AND plus a popcount parity per output bit.
+Vectors are Python ints used as bitsets (bit i = coordinate i), and maps
+and sets store them so; a basis is a tuple of them.  GF2Vector pairs one
+with its dimension as the key type of LinearHashTable.  Matrices are stored
+row-major as packed words; applying a map is one AND plus a popcount parity
+per output bit.
 """
 
 from __future__ import annotations
@@ -69,14 +70,13 @@ class LinearMap:
     """A map x -> Ax (+ a) between bit-vector spaces.
 
     row_bits[i] is row i of the matrix A, packed (bit j = column j);
-    translation_bits is the optional affine offset a (None means a linear
-    map, a = 0).
+    translation_bits is the affine offset a, 0 for a linear map.
     """
 
     in_dim: int
     out_dim: int
     row_bits: tuple[int, ...]
-    translation_bits: int | None = None
+    translation_bits: int = 0
 
     def __post_init__(self) -> None:
         if self.in_dim < 1 or self.out_dim < 1:
@@ -86,8 +86,8 @@ class LinearMap:
         if min(self.row_bits) < 0 or max(self.row_bits) >> self.in_dim:
             raise ValueError(f"row bits not canonical for in_dim {self.in_dim}")
         t = self.translation_bits
-        if t is not None and (t < 0 or t >> self.out_dim):
-            raise ValueError(f"translation 0x{t:x} not canonical for out_dim {self.out_dim}")
+        if t is None or t < 0 or t >> self.out_dim:
+            raise ValueError(f"translation {t!r} not canonical for out_dim {self.out_dim}")
 
     @property
     def is_linear(self) -> bool:
@@ -105,31 +105,7 @@ class LinearMap:
 
     def apply_bits(self, xbits: int) -> int:
         """Apply to a packed input, returning packed output bits."""
-        out = _apply_rows(self.row_bits, xbits)
-        return out if self.translation_bits is None else out ^ self.translation_bits
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent packed vectors spanning a subspace (possibly empty)."""
-
-    ambient_dim: int
-    basis_bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        for v in self.basis_bits:
-            if v < 0 or v >> self.ambient_dim:
-                raise ValueError(
-                    f"basis vector 0x{v:x} not canonical for ambient dim {self.ambient_dim}"
-                )
-        if len(_independent_bits(self.basis_bits)) != len(self.basis_bits):
-            raise ValueError("basis vectors are not linearly independent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_bits)
+        return _apply_rows(self.row_bits, xbits) ^ self.translation_bits
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +241,9 @@ def _kernel_vectors(reduced: Sequence[int], pivots: Sequence[int],
     return tuple(basis)
 
 
-def kernel_basis(T: LinearMap) -> SubspaceBasis:
-    """Basis of {x : T(x) = 0}; length is in_dim - rank(T)."""
-    basis = _kernel_vectors(*_rref_bits(T.row_bits, T.in_dim), T.in_dim)
-    return _trusted(SubspaceBasis, ambient_dim=T.in_dim, basis_bits=basis)
+def kernel_basis(T: LinearMap) -> tuple[int, ...]:
+    """Packed basis of {x : T(x) = 0}; its length is in_dim - rank(T)."""
+    return _kernel_vectors(*_rref_bits(T.row_bits, T.in_dim), T.in_dim)
 
 
 def is_surjective(T: LinearMap) -> bool:
@@ -277,7 +252,7 @@ def is_surjective(T: LinearMap) -> bool:
 
 def _section_and_kernel(T1: LinearMap) -> tuple[list[int], tuple[int, ...]]:
     """Columns of a right inverse of a surjective linear map T1, and
-    kernel_basis(T1).basis_bits, from one elimination.
+    kernel_basis(T1), from one elimination.
 
     The section sends unit vector i to a point that T1 sends back to it.
     Row-reducing [T1 | I] gives [R | E] with E T1 = R; R's column at the pivot
@@ -297,13 +272,12 @@ def byte_apply_tables(T: LinearMap) -> list[list[int]]:
     """Per-byte lookup tables: the XOR over c of table[c][byte c of x] is T(x).
 
     Each table is built by doubling over the columns of its byte; the
-    translation, if any, is folded into table 0.
+    translation is folded into table 0.
     """
     cols = T.column_bits
-    offset = T.translation_bits or 0
     tables = []
     for base in range(0, T.in_dim, 8):
-        table = [offset if base == 0 else 0]
+        table = [T.translation_bits if base == 0 else 0]
         for col in cols[base:base + 8]:
             table += [v ^ col for v in table]
         tables.append(table)
@@ -325,8 +299,7 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
     It takes whichever form has fewer terms, the byte tables on a tie:
     - one entry of each of T.byte_tables (the translation is folded into
       table 0): lambda k: t0[k & 255] ^ t1[k >> 8 & 255] ^ t2[k >> 16];
-    - one row parity per output bit, plus the translation unless it is None
-      (as in apply_bits, a sampled translation of 0 still counts):
+    - one row parity per output bit, plus the translation unless it is 0:
       lambda k: ((k & r0).bit_count() & 1) ^ ((k & r1).bit_count() & 1) << 1 ^ a.
     Tables, rows and translation are bound as closure cells, so the source
     holds only names and integer literals.  The last byte needs no mask,
@@ -336,7 +309,7 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
     nbytes = -(-T.in_dim // 8)
     translation = T.translation_bits
     names, terms = [], []
-    if nbytes <= T.out_dim + (translation is not None):
+    if nbytes <= T.out_dim + bool(translation):
         values = T.byte_tables
         for c in range(nbytes):
             byte = f"k >> {8 * c}" if c else "k"
@@ -348,7 +321,7 @@ def apply_expression(T: LinearMap) -> Callable[[int], int]:
             names.append(f"r{i}")
             terms.append(f"((k & r{i}).bit_count() & 1) << {i}" if i
                          else "((k & r0).bit_count() & 1)")
-        if translation is not None:
+        if translation:
             values.append(translation)
             names.append("a")
             terms.append("a")
@@ -534,7 +507,7 @@ def count_factorizations(T: LinearMap, T1: LinearMap) -> int:
     _check_factor_args(T, T1)
     u, f = T.in_dim, T1.in_dim
     _check_guard(u * f, "factorization count")
-    ker_bits = kernel_basis(T).basis_bits
+    ker_bits = kernel_basis(T)
     targets = list(zip(T1.row_bits, T.row_bits))
     seen = {
         tuple(_apply_rows(cand_rows, v) for v in ker_bits)

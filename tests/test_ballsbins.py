@@ -39,7 +39,6 @@ from linbins.ballsbins import (
 from linbins.gf2 import (
     LinearMap,
     SizeGuardError,
-    SubspaceBasis,
     _rref_bits,
     _span,
     compose,
@@ -61,7 +60,7 @@ def full_universe(u):
     return generate_set("interval", u, 1 << u)
 
 
-def rows_map(in_dim, rows, translation_bits=None):
+def rows_map(in_dim, rows, translation_bits=0):
     """The map with these packed rows, one output bit per row."""
     return LinearMap(in_dim, len(rows), tuple(rows), translation_bits)
 
@@ -405,13 +404,13 @@ class TestBatchPath:
         assert S.planes is planes
 
     def test_scalar_images_match_apply_bits(self):
-        # below BATCH_MIN the pass reads T's rows directly; a translation of 0
-        # is XOR-ed in as apply_bits does, and inputs may be packed or a list
+        # below BATCH_MIN the pass reads T's rows directly, with a translation
+        # or without one, and inputs may be packed or a list
         rng = random.Random(74)
         for in_dim in [*range(1, 71), 130]:
             out_dim = rng.randint(1, 40)
             rows = sample_uniform_linear(in_dim, out_dim, rng).row_bits
-            for t in (None, 0, rng.getrandbits(out_dim) | 1):
+            for t in (0, rng.getrandbits(out_dim) | 1):
                 T = LinearMap(in_dim, out_dim, rows, t)
                 for n in (1, rng.randint(2, BATCH_MIN - 2), BATCH_MIN - 1):
                     balls = [rng.getrandbits(in_dim) for _ in range(n)]
@@ -438,7 +437,7 @@ class TestRankRoute:
         for u in (1, 3, 6, 9):
             for d in range(u + 1):
                 S = self.linear_set(kind, u, d, rng)
-                assert S.linear_basis.dim == d
+                assert len(S.linear_basis) == d
                 # b = d - 1 < d, b = d, b = d + 1 > d, and both extremes
                 for b in sorted({1, max(1, d - 1), max(1, d), d + 1, u + 2}):
                     L = sample_uniform_linear(u, b, rng)
@@ -456,7 +455,6 @@ class TestRankRoute:
 
     def test_rows_past_full_rank_are_not_made(self):
         S = BallSet(5, None, "subspace", (1, 2, 4))
-        B = S.linear_basis
 
         def rows():
             # T B is the identity after these three rows of T
@@ -465,10 +463,10 @@ class TestRankRoute:
 
         T = rows_map(5, [1, 2, 4, 8, 16])
         assert largest_bin(T, S) == 1
-        assert ballsbins._largest_bin_of(SimpleNamespace(row_bits=rows(), out_dim=5), B) == 1
+        assert ballsbins._largest_bin_of(SimpleNamespace(row_bits=rows(), out_dim=5), S) == 1
 
     def test_compiled_rows_past_full_rank_are_not_made(self):
-        B = BallSet(5, None, "subspace", (1, 2, 4)).linear_basis
+        S = BallSet(5, None, "subspace", (1, 2, 4))
 
         def rows():
             yield from (1, 2, 4)
@@ -476,7 +474,7 @@ class TestRankRoute:
 
         T = SimpleNamespace(row_bits=rows(), out_dim=5)
         apply_basis = gf2.apply_expression(LinearMap(5, 3, (1, 2, 4)))
-        assert ballsbins._largest_bin_of(T, B, apply_basis) == 1
+        assert ballsbins._largest_bin_of(T, S, apply_basis) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -487,46 +485,42 @@ class TestRankRoute:
         kind = data.draw(st.sampled_from(LINEAR_KINDS), label="kind")
         S = generate_set(kind, u, d, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
         start = data.draw(st.integers(0, 1000), label="start")
-        by_rank = ballsbins._trial_chunk((9, u, b, S.linear_basis, start, start + 6))
-        by_count = ballsbins._trial_chunk((9, u, b, S.member_bits, start, start + 6))
+        listed = BallSet(u, S.member_bits, "random")
+        assert listed.linear_basis is None
+        by_rank = ballsbins._trial_chunk((9, b, S, start, start + 6))
+        by_count = ballsbins._trial_chunk((9, b, listed, start, start + 6))
         assert by_rank == by_count
 
     @pytest.mark.parametrize("kind,arg", [("subspace", 5), ("affine", 3), ("interval", 512)])
     def test_trials_match_counting(self, kind, arg):
         S = generate_set(kind, 12, arg, random.Random(90))
-        basis = S.linear_basis
-        by_rank = ballsbins._trial_chunk((5, 12, 6, basis, 0, 60))
-        by_count = ballsbins._trial_chunk((5, 12, 6, S.member_bits, 0, 60))
+        # the counting oracle is a listed copy, which has no linear basis
+        listed = BallSet(12, S.member_bits, "random")
+        assert S.linear_basis is not None and listed.linear_basis is None
+        by_rank = ballsbins._trial_chunk((5, 6, S, 0, 60))
+        by_count = ballsbins._trial_chunk((5, 6, listed, 0, 60))
         assert by_rank == by_count
 
     def test_basis_built_once_per_set(self, monkeypatch):
         made = []
-
-        class CountedBasis(SubspaceBasis):
-            def __post_init__(self):
-                made.append(self)
-                super().__post_init__()
-
-        def trusted(cls, **values):
-            # a basis built without checks runs no __post_init__; count it here
-            value = gf2._trusted(cls, **values)
-            if cls is CountedBasis:
-                made.append(value)
-            return value
-
-        monkeypatch.setattr(ballsbins, "SubspaceBasis", CountedBasis)
-        monkeypatch.setattr(ballsbins, "_trusted", trusted)
-        S = generate_set("affine", 10, 6, random.Random(96))
+        cached = BallSet.__dict__["linear_basis"]
+        build = cached.func
+        monkeypatch.setattr(cached, "func", lambda S: made.append(S) or build(S))
         rng = random.Random(97)
-        for _ in range(3):
-            T = sample_uniform_affine(10, 4, rng)
-            assert largest_bin(T, S) == max(bin_counts(T, S).values())
-        assert len(made) == 1
+        for S in (generate_set("affine", 10, 6, random.Random(96)),
+                  generate_set("interval", 10, 64)):
+            for _ in range(3):
+                T = sample_uniform_affine(10, 4, rng)
+                assert largest_bin(T, S) == max(bin_counts(T, S).values())
+            exact_lbin_distribution(4, S)
+            ballsbins._trial_chunk((5, 4, S, 0, 3))
+            assert made.count(S) == 1 and S.linear_basis is vars(S)["linear_basis"]
+        assert len(made) == 2
 
     def test_basis_only_for_linear_sets(self):
         rng = random.Random(95)
         S = generate_set("interval", 5, 8)
-        assert S.linear_basis.basis_bits == (1, 2, 4)
+        assert S.linear_basis == (1, 2, 4)
         assert S.basis_bits is None and "dim=" not in S.descriptor
         for S in (
             generate_set("interval", 5, 12),
@@ -571,6 +565,21 @@ class TestRankRoute:
     ])
     def test_dependent_basis_rejected(self, args):
         with pytest.raises(ValueError, match="must be distinct"):
+            BallSet(*args)
+
+    @pytest.mark.parametrize("args,match", [
+        ((8, [1, 2], "interval", (3,), 9), "interval set has no shift"),
+        ((8, [1, 2], "random", None, 0), "random set has no shift"),
+        ((8, [0, 1, 2, 3], "cluster", (1, 2), 4), "cluster set has no shift"),
+        ((8, [0, 1], "interval", (300, 300)), "interval set takes no basis"),
+        ((8, [0, 1], "random", (1,)), "random set takes no basis"),
+        ((8, [0, 1], "cluster", (300,)), "out of range"),
+        ((8, [0, 1], "cluster", (-1,)), "out of range"),
+        ((8, [0, 1, 2, 3], "cluster", (3, 3)), "must be distinct"),
+        ((8, [0, 1, 2, 3], "cluster", (1, 2, 3)), "must be distinct"),
+    ])
+    def test_listed_set_shift_and_basis_checked(self, args, match):
+        with pytest.raises(ValueError, match=match):
             BallSet(*args)
 
     def test_members_are_the_shifted_span(self):
@@ -827,7 +836,7 @@ class TestEventE2:
             b = rng.randint(1, 4)
             f = b + gap
             T0 = LinearMap(f, f, sample_surjective(f, f, rng).row_bits,
-                           rng.choice([None, rng.getrandbits(f)]))
+                           rng.choice([0, rng.getrandbits(f)]))
             T1 = sample_surjective(f, b, rng)
             label = rng.getrandbits(b)
             members = [x for x in range(1 << f)
@@ -1189,7 +1198,7 @@ class TestSubspaceStructure:
             )
             assert report.expected_bin_size == k + 1  # subspace: |S cap Ker| = 2^dim
             span_bits = list(S.basis_bits)
-            ker_bits = list(ker.basis_bits)
+            ker_bits = list(ker)
             expected_k = (
                 len(span_bits) + len(ker_bits) - len(_rref_bits(span_bits + ker_bits, u)[0])
             )

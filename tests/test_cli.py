@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import json
+import pickle
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from linbins import __version__, ballsbins, cli
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
-from linbins.gf2 import BytePlanes, SubspaceBasis
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -122,13 +122,17 @@ class TestSimulate:
         assert data_rows(a) == data_rows(b)
 
     def test_jobs_do_not_change_rows_on_batch_path(self, tmp_path, monkeypatch):
-        # 300 balls reach the byte-plane kernel; two CPUs make the pool run
+        # 300 balls reach the byte-plane kernel; two CPUs make the pool run.
+        # At u = 70 the members are a tuple of ints, and each worker builds
+        # its planes from them with BytePlanes.from_bits
         monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 2)
-        argv = BATCH_ARGS + ["--trials", "12"]
-        _, a = run_to_file(tmp_path, "a.csv", argv + ["--jobs", "1"])
-        _, b = run_to_file(tmp_path, "b.csv", argv + ["--jobs", "2"])
-        assert len(data_rows(a)) > 12
-        assert data_rows(a) == data_rows(b)
+        u70 = ["simulate", "--u", "70", "--b", "3", "--set", "random", "--set-size", "300",
+               "--thresholds", "8", "--seed", "5"]
+        for argv in (BATCH_ARGS + ["--trials", "12"], u70 + ["--trials", "12"]):
+            _, a = run_to_file(tmp_path, "a.csv", argv + ["--jobs", "1"])
+            _, b = run_to_file(tmp_path, "b.csv", argv + ["--jobs", "2"])
+            assert len(data_rows(a)) > 12
+            assert data_rows(a) == data_rows(b)
 
     def test_jobs_do_not_change_rows_on_rank_route(self, tmp_path, monkeypatch):
         # an affine set's trials read the rank route, whose compiled B^T is
@@ -159,7 +163,9 @@ class TestSimulate:
                 return False
 
             def map(self, fn, tasks):
-                self.tasks = list(tasks)
+                # each task crosses a pickle, as it would to a worker process
+                self.tasks = [pickle.loads(pickle.dumps(t)) for t in tasks]
+                assert not any("planes" in vars(t[2]) for t in self.tasks)
                 return map(fn, self.tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -175,10 +181,13 @@ class TestSimulate:
             return
         (pool,) = pools
         assert pool.max_workers == workers
-        spans = [(t[4], t[5]) for t in pool.tasks]
+        spans = [(t[3], t[4]) for t in pool.tasks]
         assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
         assert spans[-1][1] == 10
-        assert all(isinstance(t[3], BytePlanes) for t in pool.tasks)
+        # each task carries the listed set, whose planes its worker built
+        S = pool.tasks[0][2]
+        assert isinstance(S, ballsbins.BallSet) and S.kind == "random" and S.size == 300
+        assert all(t[2] == S and "planes" in vars(t[2]) for t in pool.tasks)
 
     def test_pool_on_linear_set_carries_basis(self, tmp_path, monkeypatch):
         tasks = []
@@ -196,7 +205,8 @@ class TestSimulate:
                 return False
 
             def map(self, fn, chunk_tasks):
-                tasks.extend(chunk_tasks)
+                # each task crosses a pickle, as it would to a worker process
+                tasks.extend(pickle.loads(pickle.dumps(t)) for t in chunk_tasks)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -210,7 +220,12 @@ class TestSimulate:
         assert len(data_rows(serial)) > 20
         assert data_rows(pooled) == data_rows(serial)
         assert len(tasks) > 1
-        assert all(isinstance(t[3], SubspaceBasis) and t[3].dim == 5 for t in tasks)
+        # each task carries the subspace set, which its worker ranked against
+        # without listing a member or building a plane
+        for t in tasks:
+            S = t[2]
+            assert S.kind == "subspace" and len(S.linear_basis) == 5
+            assert "_span_members" not in vars(S) and "planes" not in vars(S)
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):

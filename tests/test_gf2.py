@@ -18,7 +18,6 @@ from linbins.gf2 import (
     GF2Vector,
     LinearMap,
     SizeGuardError,
-    SubspaceBasis,
     _independent_bits,
     _rref_bits,
     _section_and_kernel,
@@ -46,13 +45,12 @@ def naive_apply(T: LinearMap, x: int) -> int:
         acc = 0
         for j in range(T.in_dim):
             acc ^= (row >> j) & (x >> j) & 1
-        if T.translation_bits is not None:
-            acc ^= (T.translation_bits >> i) & 1
+        acc ^= (T.translation_bits >> i) & 1
         out |= acc << i
     return out
 
 
-def rows_map(in_dim, rows, translation_bits=None):
+def rows_map(in_dim, rows, translation_bits=0):
     """The map with these packed rows, one output bit per row."""
     return LinearMap(in_dim, len(rows), tuple(rows), translation_bits)
 
@@ -166,16 +164,23 @@ class TestApplyExpression:
                       sample_uniform_affine(in_dim, out_dim, rng)):
                 fn = apply_expression(T)
                 # fewer terms wins; a tie goes to the byte tables
-                parity_terms = out_dim + (T.translation_bits is not None)
+                parity_terms = out_dim + bool(T.translation_bits)
                 assert expression_form(fn) == ("bytes" if nbytes <= parity_terms else "parity")
                 xs = [0, (1 << in_dim) - 1] + [rng.getrandbits(in_dim) for _ in range(4)]
                 assert [fn(x) for x in xs] == [T.apply_bits(x) for x in xs]
 
-    def test_zero_translation_counts_as_a_term(self):
-        # apply_bits XORs a translation of 0 in, and so does the parity form
+    def test_zero_translation_is_the_linear_map(self):
+        # a translation of 0 is the default, so it adds no term to either form
         rows = (0b1011_0110_1110_0001,)
-        assert expression_form(apply_expression(LinearMap(16, 1, rows))) == "parity"
-        assert expression_form(apply_expression(LinearMap(16, 1, rows, 0))) == "bytes"
+        T = LinearMap(16, 1, rows, 0)
+        assert T == LinearMap(16, 1, rows) and T.is_linear
+        forms = [expression_form(apply_expression(M)) for M in (T, LinearMap(16, 1, rows))]
+        assert forms == ["parity", "parity"]
+        assert expression_form(apply_expression(LinearMap(16, 1, rows, 1))) == "bytes"
+
+    def test_none_translation_rejected(self):
+        with pytest.raises(ValueError, match="translation None not canonical"):
+            LinearMap(16, 1, (1,), None)
 
     @pytest.mark.parametrize("in_dim,dim,form", [(32, 3, "parity"), (70, 5, "parity"),
                                                  (64, 40, "bytes"), (4096, 8, "parity")])
@@ -301,13 +306,22 @@ class TestOneTableBuildPerMap:
         assert T == fresh and hash(T) == hash(fresh)
         assert len(builds) == 1
 
-    def test_table_grown_k_times_builds_k_plus_one(self, builds):
+    def test_table_grown_k_times_builds_k_plus_one(self, builds, monkeypatch):
+        # k grows set k + 1 maps, and each one compiled to the byte-table form
+        # builds its tables once; the first map here drew a translation of 0,
+        # so its row-parity form builds none
+        maps = []
+        set_hash = LinearHashTable._set_hash
+        monkeypatch.setattr(LinearHashTable, "_set_hash",
+                            lambda self, T: maps.append(T) or set_hash(self, T))
         t = LinearHashTable(16, 1, random.Random(17))
         for i in range(200):
             t.insert(GF2Vector(16, i), i)
         t.audit()
-        assert t.stats().resizes == 7
-        assert len(builds) == 8 and builds[-1] is t.hash_map
+        assert t.stats().resizes == 7 and len(maps) == 8
+        in_bytes = [T for T in maps if expression_form(apply_expression(T)) == "bytes"]
+        assert [id(T) for T in builds] == [id(T) for T in in_bytes] == [id(T) for T in maps[1:]]
+        assert builds[-1] is t.hash_map
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +393,16 @@ class TestRankKernelImage:
             assert 1 << rank(T) == len(span)
 
     def test_kernel_identity_empty(self):
-        assert kernel_basis(identity(3)).dim == 0
+        assert kernel_basis(identity(3)) == ()
 
     def test_kernel_single_row(self):
         T = rows_map(2, [0b11])
-        kb = kernel_basis(T)
-        assert list(kb.basis_bits) == [0b11]
+        assert kernel_basis(T) == (0b11,)
 
     def test_kernel_zero_map_everything(self):
         kb = kernel_basis(zero_map(2, 2))
-        assert kb.dim == 2
-        assert sorted(_span(kb.basis_bits)) == [0, 1, 2, 3]
+        assert len(kb) == 2
+        assert sorted(_span(kb)) == [0, 1, 2, 3]
 
     def test_kernel_matches_enumeration(self):
         rng = random.Random(6)
@@ -399,8 +412,8 @@ class TestRankKernelImage:
             T = sample_uniform_linear(u, b, rng)
             kb = kernel_basis(T)
             truth = {x for x in range(1 << u) if T.apply_bits(x) == 0}
-            assert set(_span(kb.basis_bits)) == truth
-            assert kb.dim == u - rank(T)
+            assert set(_span(kb)) == truth
+            assert len(kb) == u - rank(T)
 
     @settings(max_examples=200)
     @given(st.integers(1, 8).flatmap(
@@ -431,7 +444,7 @@ class TestRankKernelImage:
     @settings(max_examples=120)
     @given(linear_maps())
     def test_rank_nullity(self, T):
-        assert rank(T) + kernel_basis(T).dim == T.in_dim
+        assert rank(T) + len(kernel_basis(T)) == T.in_dim
 
     def test_surjective_trivials(self):
         assert is_surjective(identity(4))
@@ -443,12 +456,6 @@ class TestRankKernelImage:
             outputs = {T.apply_bits(x) for x in range(4)}
             assert outputs == {0, 1}
             assert is_surjective(T)
-
-
-class TestSubspaceBasis:
-    def test_rejects_dependent_vectors(self):
-        with pytest.raises(ValueError):
-            SubspaceBasis(2, (0b01, 0b01))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +567,7 @@ class TestFactorization:
         T1 = rows_map(2, [0b01])
         factors = [T0 for T0 in all_linear_maps(3, 2) if compose(T1, T0) == T]
         assert len(factors) == 8
-        ker = kernel_basis(T).basis_bits
+        ker = kernel_basis(T)
         classes = Counter(tuple(T0.apply_bits(v) for v in ker) for T0 in factors)
         assert set(classes.values()) == {2}
         assert count_factorizations(T, T1) == len(classes) == 4
@@ -594,7 +601,7 @@ class TestFactorization:
         surjective = 0
         for T1 in small + drawn:
             section, kernel = _section_and_kernel(T1)
-            assert kernel == kernel_basis(T1).basis_bits
+            assert kernel == kernel_basis(T1)
             if is_surjective(T1):
                 surjective += 1
                 assert [T1.apply_bits(col) for col in section] == [

@@ -200,7 +200,7 @@ class TestStructure:
         t = LinearHashTable(6, 3, rng, hash_map=hash_map)
         for x in span:
             t.insert(GF2Vector(6, x), x)
-        ker_bits = list(kernel_basis(hash_map).basis_bits)
+        ker_bits = list(kernel_basis(hash_map))
         k = len(basis) + len(ker_bits) - len(_rref_bits(basis + ker_bits, 6)[0])
         assert t.max_chain() == 1 << k
 

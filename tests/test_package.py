@@ -11,7 +11,7 @@ import linbins
 
 PUBLIC = {
     "BallSet", "ExperimentConfig", "GF2Vector", "LinearHashTable", "LinearMap",
-    "SizeGuardError", "SubspaceBasis", "TrialSummary", "bin_counts",
+    "SizeGuardError", "TrialSummary", "bin_counts",
     "check_e1_e2_implication", "compose", "count_factorizations",
     "distribution_mean", "distribution_tail", "estimate_tail", "event_e2",
     "event_e2_direct", "exact_lbin_distribution", "generate_set",

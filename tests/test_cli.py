@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
 import concurrent.futures
+import hashlib
 import io
 import json
 import pickle
@@ -394,6 +395,22 @@ class TestBounds:
             "--eps", "0.5",
         ])
         assert len(data_rows(text)) == 1 + 6
+
+    # sha256 of json.dumps(rows, sort_keys=True) for JSON_GRID: every formula,
+    # with e2 and ell-threshold each skipping some (b, f) pairs, so a row's
+    # key set (no stray `mu` or `vacuous`) is pinned along with its values.
+    JSON_GRID = ["--b", "4,8", "--f", "4,8,11", "--r", "16,256", "--eps", "0.25,0.5",
+                 "--u", "6,10", "--t", "2,4", "--alpha", "0.25,0.5"]
+    JSON_ROWS_DIGEST = "a6735182c6e096b8bcb13f1ac248318e43b342c47e6aa20a5dbd280d569e6358"
+
+    def test_json_rows_pinned(self, tmp_path):
+        code, text = run_to_file(tmp_path, "bounds.json",
+                                 ["bounds", "--format", "json"] + self.JSON_GRID)
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 2 + 8 + 3 + 8 + 10 + 8 + 4
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.JSON_ROWS_DIGEST
 
 
 class TestVerify:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -290,65 +292,48 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# formula -> (grid flags in loop order, domain, probability?, cells(*point)).
+# cells gives the row's value_raw and any cell the formula adds.  A domain is
+# a condition's text and its test of (f, b); a grid point outside it is
+# skipped.  A probability is clamped at 1, and its row is vacuous there.
+# `--formula all` emits the formulas in this order.
+BOUND_FORMULAS = {
+    "c-epsilon": (("eps",), None, False, lambda eps: {"value_raw": c_epsilon(eps)}),
+    "surjective-miss": (("u", "t", "alpha"), None, True,
+                        lambda *p: {"value_raw": bound_surjective_miss(*p)}),
+    "e2": (("b", "f"), ("f > b", operator.gt), True,
+           lambda b, f: {"mu": 2.0 ** (b - f), "value_raw": bound_e2(b, f)}),
+    "tail": (("b", "r", "eps"), None, True, lambda *p: {"value_raw": bound_tail(*p)}),
+    "ell-threshold": (("f", "b", "eps"), ("f >= b", operator.ge), False,
+                      lambda f, b, eps: {"value_raw": ell_threshold(eps, f, b)}),
+    "tail-params": (("b", "r", "eps"), None, False,
+                    lambda *p: dict(zip(("f", "value_raw"), tail_bound_parameters(*p)))),
+    "exponent-margin": (("b", "r"), None, False,
+                        lambda *p: {"value_raw": tail_exponent_margin(*p)}),
+}
+
+
 def _bound_rows(args: argparse.Namespace) -> list[dict]:
     rows = []
-
-    def add(formula, *, value, probability=False, **cells):
-        row = dict(cells, formula=formula, value_raw=value)
-        if probability:
-            row["value_clamped"] = clamped = min(1.0, value)
-            row["vacuous"] = "yes" if clamped >= 1.0 else "no"
-        rows.append(row)
-
-    wanted = args.formula
-    if wanted in ("c-epsilon", "all"):
-        for eps in args.eps:
-            add("c-epsilon", eps=eps, value=c_epsilon(eps))
-    if wanted in ("surjective-miss", "all"):
-        for u in args.u:
-            for t in args.t:
-                for alpha in args.alpha:
-                    add("surjective-miss", u=u, t=t, alpha=alpha,
-                        value=bound_surjective_miss(u, t, alpha), probability=True)
-    if wanted in ("e2", "all"):
-        for b in args.b:
-            for f in args.f:
-                if f <= b:
-                    continue
-                add("e2", b=b, f=f, mu=2.0 ** (b - f),
-                    value=bound_e2(b, f), probability=True)
-    if wanted in ("tail", "all"):
-        for b in args.b:
-            for r in args.r:
-                for eps in args.eps:
-                    add("tail", b=b, r=r, eps=eps,
-                        value=bound_tail(b, r, eps), probability=True)
-    if wanted in ("ell-threshold", "all"):
-        for f in args.f:
-            for b in args.b:
-                if f < b:
-                    continue
-                for eps in args.eps:
-                    add("ell-threshold", f=f, b=b, eps=eps,
-                        value=ell_threshold(eps, f, b))
-    if wanted in ("tail-params", "all"):
-        for b in args.b:
-            for r in args.r:
-                for eps in args.eps:
-                    f, ell = tail_bound_parameters(b, r, eps)
-                    add("tail-params", b=b, r=r, eps=eps, f=f, value=ell)
-    if wanted in ("exponent-margin", "all"):
-        for b in args.b:
-            for r in args.r:
-                add("exponent-margin", b=b, r=r, value=tail_exponent_margin(b, r))
+    for formula in BOUND_FORMULAS if args.formula == "all" else [args.formula]:
+        flags, domain, probability, cells = BOUND_FORMULAS[formula]
+        for point in product(*(getattr(args, flag) for flag in flags)):
+            row = dict(zip(flags, point), formula=formula)
+            if domain and not domain[1](row["f"], row["b"]):
+                continue
+            row.update(cells(*point))
+            if probability:
+                row["value_clamped"] = clamped = min(1.0, row["value_raw"])
+                row["vacuous"] = "yes" if clamped >= 1.0 else "no"
+            rows.append(row)
     return rows
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     rows = _bound_rows(args)
     if not rows:
-        # only e2 and ell-threshold skip (b, f) pairs, those outside their domain
-        domain = "f > b" if args.formula == "e2" else "f >= b"
+        # only a formula with a domain skips grid points
+        domain, _ = BOUND_FORMULAS[args.formula][1]
         raise UsageError(
             f"--formula {args.formula} needs {domain}, and no pair of "
             f"--b {','.join(map(str, args.b))} and --f {','.join(map(str, args.f))} has it"
@@ -610,11 +595,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("bounds", help="closed-form bound tables over grids")
-    sp.add_argument("--formula",
-                    choices=("c-epsilon", "surjective-miss", "e2", "tail",
-                             "ell-threshold", "tail-params", "exponent-margin",
-                             "all"),
-                    default="all")
+    sp.add_argument("--formula", choices=(*BOUND_FORMULAS, "all"), default="all")
     sp.add_argument("--eps", type=_parse_float_list, default=(0.5,))
     sp.add_argument("--alpha", type=_parse_float_list, default=(0.5,))
     sp.add_argument("--u", type=_parse_int_list, default=(10,))

@@ -84,8 +84,12 @@ def substream(master_seed: int, *path: object,
     return rng
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+# the normal quantile of a two-sided 95% interval
+WILSON_Z = 1.96
+
+
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval, at 95%, for a binomial proportion.
 
     Behaves sensibly at observed frequencies of exactly 0 or 1, which are
     routine in tail estimation.
@@ -93,10 +97,10 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = hits / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    spread = z * math.sqrt((p * (1 - p) + z2 / (4 * trials)) / trials) / denom
+    spread = WILSON_Z * math.sqrt((p * (1 - p) + z2 / (4 * trials)) / trials) / denom
     return (max(0.0, center - spread), min(1.0, center + spread))
 
 
@@ -226,17 +230,18 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
     if universe_dim <= 22 and 2 * (size + len(exclude)) >= space:
         pool = [x for x in range(space) if x not in exclude] if exclude else range(space)
         return _packed(rng.sample(pool, size), universe_dim)
-    if universe_dim <= 32:
+    if universe_dim > 32:
+        def draw(k: int) -> Iterable[int]:
+            return map(rng.getrandbits, repeat(universe_dim, k))
+    else:
         # Here getrandbits(u) is one 32-bit word shifted right by 32 - u, and
         # getrandbits(32 k) is the next k words, least significant first.  So
-        # one call per batch, sized to the shortfall, consumes the words the
-        # one-at-a-time loop below would, and keeps the same members in the
-        # same first-seen order and the same rng state.  The shift happens on
-        # the whole draw, and a mask of u low bits per 32-bit lane drops what
-        # the next word shifted in.
+        # one call of k words consumes what k calls of getrandbits(u) would.
+        # The shift happens on the whole draw, and a mask of u low bits per
+        # 32-bit lane drops what the next word shifted in.
         lane = ((1 << universe_dim) - 1).to_bytes(4, "little")
 
-        def draw(k: int) -> array:
+        def draw(k: int) -> Iterable[int]:
             bits = rng.getrandbits(32 * k) >> (32 - universe_dim)
             bits &= int.from_bytes(lane * k, "little")
             words = array("I", bits.to_bytes(4 * k, "little"))
@@ -260,20 +265,15 @@ def _sample_distinct(universe_dim: int, size: int, rng: random.Random,
                         seen[w] = 1
                         append(w)
             return out
-        chosen = dict.fromkeys(exclude)
-        wanted = size + len(exclude)
-        while len(chosen) < wanted:
-            words = draw(wanted - len(chosen))
-            chosen.update(zip(words, repeat(None)))  # no second dict at the peak
-        return _packed(islice(chosen, len(exclude), None), universe_dim)
-    out: list[int] = []
-    seen = set(exclude)
-    while len(out) < size:
-        c = rng.getrandbits(universe_dim)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return _packed(out, universe_dim)
+    # Each batch is sized to the shortfall, so only its last draw can complete
+    # the set: the batches draw what a one-at-a-time loop would, keep the same
+    # members in the same first-seen order, and leave the same rng state.
+    chosen = dict.fromkeys(exclude)
+    wanted = size + len(exclude)
+    while len(chosen) < wanted:
+        words = draw(wanted - len(chosen))
+        chosen.update(zip(words, repeat(None)))  # no second dict at the peak
+    return _packed(islice(chosen, len(exclude), None), universe_dim)
 
 
 def _sample_independent(universe_dim: int, dim: int, rng: random.Random) -> list[int]:
@@ -623,8 +623,7 @@ def _trial_chunk(args: tuple) -> list[int]:
     """The largest bins on S of trials start..stop-1, one fresh map each.
 
     One generator is reseeded for every trial's substream.  On a linear set
-    B^T is compiled here from S.linear_basis, once per chunk.  A pool worker
-    gets S itself and builds what it reads of it, such as the planes.
+    B^T is compiled here from S.linear_basis, once per chunk.
     """
     master_seed, bin_dim, S, start, stop = args
     u, basis = S.universe_dim, S.linear_basis
@@ -636,6 +635,25 @@ def _trial_chunk(args: tuple) -> list[int]:
         T = sample_uniform_linear(u, bin_dim, rng)
         out.append(_largest_bin_of(T, S, apply_basis))
     return out
+
+
+# (master_seed, bin_dim, S) in a pool worker, set once by _init_worker
+_worker_base: tuple | None = None
+
+
+def _init_worker(base: tuple) -> None:
+    """Pool initializer: keep the run's set for every chunk of this worker,
+    which builds what it reads of it, such as the planes, once.  A worker
+    ignores SIGINT; the parent ends the pool on Ctrl-C."""
+    import signal
+
+    global _worker_base
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_base = base
+
+
+def _worker_chunk(span: tuple[int, int]) -> list[int]:
+    return _trial_chunk(_worker_base + span)
 
 
 def _quantile(sorted_values: Sequence[int], q: float) -> int:
@@ -659,15 +677,15 @@ def estimate_tail(config: ExperimentConfig, jobs: int = 1) -> TrialSummary:
         values = _trial_chunk(base + (0, config.trials))
     else:
         chunk = -(-config.trials // (workers * 4))
-        tasks = [
-            base + (start, min(start + chunk, config.trials))
-            for start in range(0, config.trials, chunk)
-        ]
+        spans = [(start, min(start + chunk, config.trials))
+                 for start in range(0, config.trials, chunk)]
         # imported here, so that a serial run never loads the process machinery
-        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Pool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = [v for part in pool.map(_trial_chunk, tasks) for v in part]
+        # S crosses to each worker once, and a task is only its span; the
+        # with block's exit terminates the workers, so Ctrl-C ends them at once
+        with Pool(workers, _init_worker, (base,)) as pool:
+            values = [v for part in pool.imap(_worker_chunk, spans) for v in part]
     return summarize_trials(config, S, values)
 
 

@@ -194,6 +194,28 @@ class TestGenerateSet:
                 assert rng.getstate() == ref.getstate()
                 assert drawn.typecode == gf2._word_format(u)
 
+    class FewValues(random.Random):
+        """Draws only 4-bit values whatever width is asked, so that wide
+        draws repeat and hit the excluded set."""
+
+        def getrandbits(self, k):
+            return super().getrandbits(4)
+
+    @pytest.mark.parametrize("u", [33, 40, 63, 64, 65, 70, 72, 128, 200])
+    def test_wide_draw_matches_sequential(self, u):
+        for make in (random.Random, self.FewValues):
+            for size, exclude in ((1, frozenset()), (7, frozenset()), (700, frozenset()),
+                                  (12, frozenset({1, 3, 5, 7})), (16, frozenset())):
+                if make is self.FewValues and size + len(exclude) > 16:
+                    continue
+                rng, ref = make(u * 1000 + size), make(u * 1000 + size)
+                drawn = ballsbins._sample_distinct(u, size, rng, exclude)
+                assert list(drawn) == self.sequential_draw(u, size, ref, exclude)
+                assert rng.getstate() == ref.getstate()
+                assert type(drawn) is type(ballsbins._packed((), u))
+                if u <= 64:
+                    assert drawn.typecode == gf2._word_format(u)
+
     def test_random_draw_holds_a_word_a_member(self):
         # 2^20 bytes of map, 4-byte words: a dict of int keys would peak at
         # ~80 bytes a member and a tuple hold ~36

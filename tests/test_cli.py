@@ -1,11 +1,12 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
-import concurrent.futures
 import hashlib
 import io
 import json
+import multiprocessing
 import pickle
 import re
+import signal
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -146,16 +147,25 @@ class TestSimulate:
         assert len(data_rows(a)) > 40
         assert data_rows(a) == data_rows(b)
 
-    @pytest.mark.parametrize("cpus,workers", [(64, 10), (3, 3), (1, None), (None, None)])
-    def test_pool_capped_by_cpus_and_trials(self, cpus, workers, tmp_path, monkeypatch):
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Swaps multiprocessing.Pool for one that starts no process: it runs
+        the initializer and then the chunks here, and records its size, the
+        initializer's arguments and the spans.  Yields the pools made."""
+        made = []
+        # the initializer sets the worker's state here, in this process
+        monkeypatch.setattr(ballsbins, "_worker_base", None)
 
         class InProcessPool:
-            """Records the pool size and runs the chunks here; starts no process."""
-
-            def __init__(self, max_workers):
-                self.max_workers, self.tasks = max_workers, []
-                pools.append(self)
+            def __init__(self, processes, initializer, initargs):
+                assert not any("planes" in vars(base[2]) for base in initargs)
+                # the set crosses a pickle once, as it would to a worker process
+                self.processes, self.initargs = processes, pickle.loads(pickle.dumps(initargs))
+                self.signals, self.spans = [], []
+                with monkeypatch.context() as m:  # keep this process's Ctrl-C
+                    m.setattr(signal, "signal", lambda *a: self.signals.append(a))
+                    initializer(*self.initargs)
+                made.append(self)
 
             def __enter__(self):
                 return self
@@ -163,13 +173,16 @@ class TestSimulate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                # each task crosses a pickle, as it would to a worker process
-                self.tasks = [pickle.loads(pickle.dumps(t)) for t in tasks]
-                assert not any("planes" in vars(t[2]) for t in self.tasks)
-                return map(fn, self.tasks)
+            def imap(self, fn, spans):
+                self.spans = list(spans)
+                return map(fn, self.spans)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        return made
+
+    @pytest.mark.parametrize("cpus,workers", [(64, 10), (3, 3), (1, None), (None, None)])
+    def test_pool_capped_by_cpus_and_trials(self, cpus, workers, tmp_path, monkeypatch,
+                                            pools):
         monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: cpus)
         argv = BATCH_ARGS + ["--trials", "10"]
         _, serial = run_to_file(tmp_path, "serial.csv", argv)
@@ -181,52 +194,35 @@ class TestSimulate:
             assert pools == []
             return
         (pool,) = pools
-        assert pool.max_workers == workers
-        spans = [(t[3], t[4]) for t in pool.tasks]
-        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
-        assert spans[-1][1] == 10
-        # each task carries the listed set, whose planes its worker built
-        S = pool.tasks[0][2]
+        assert pool.processes == workers
+        assert pool.signals == [(signal.SIGINT, signal.SIG_IGN)]
+        # a task is its span alone, and the spans tile the trials in order
+        assert all(type(start) is type(stop) is int for start, stop in pool.spans)
+        assert [start for start, _ in pool.spans] == [0] + [stop for _, stop in pool.spans[:-1]]
+        assert pool.spans[-1][1] == 10
+        # the initializer got the listed set once, and its worker built the planes
+        ((seed, bin_dim, S),) = pool.initargs
+        assert (seed, bin_dim) == (5, 6)
         assert isinstance(S, ballsbins.BallSet) and S.kind == "random" and S.size == 300
-        assert all(t[2] == S and "planes" in vars(t[2]) for t in pool.tasks)
+        assert "planes" in vars(S)
 
-    def test_pool_on_linear_set_carries_basis(self, tmp_path, monkeypatch):
-        tasks = []
-
-        class InProcessPool:
-            """Records the tasks and runs them here; starts no process."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunk_tasks):
-                # each task crosses a pickle, as it would to a worker process
-                tasks.extend(pickle.loads(pickle.dumps(t)) for t in chunk_tasks)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_on_linear_set_carries_basis(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(ballsbins.os, "cpu_count", lambda: 4)
         argv = ["simulate", "--u", "12", "--b", "4", "--set", "subspace", "--set-dim", "5",
                 "--thresholds", "4,8", "--seed", "5", "--trials", "20"]
         _, serial = run_to_file(tmp_path, "serial.csv", argv)
-        assert tasks == []
+        assert pools == []
         code, pooled = run_to_file(tmp_path, "pool.csv", argv + ["--jobs", "4"])
         assert code == 0
         assert len(data_rows(serial)) > 20
         assert data_rows(pooled) == data_rows(serial)
-        assert len(tasks) > 1
-        # each task carries the subspace set, which its worker ranked against
-        # without listing a member or building a plane
-        for t in tasks:
-            S = t[2]
-            assert S.kind == "subspace" and len(S.linear_basis) == 5
-            assert "_span_members" not in vars(S) and "planes" not in vars(S)
+        (pool,) = pools
+        assert len(pool.spans) > 1
+        # the worker got the subspace set, and ranked against it without
+        # listing a member or building a plane
+        ((_, _, S),) = pool.initargs
+        assert S.kind == "subspace" and len(S.linear_basis) == 5
+        assert "_span_members" not in vars(S) and "planes" not in vars(S)
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):

@@ -91,6 +91,51 @@ class TestManifest:
         }
 
 
+class TestJsonReports:
+    # name -> (argv, row count, sha256 of json.dumps(rows, sort_keys=True),
+    # sha256 of json.dumps(summary, sort_keys=True)), so each report's key
+    # sets are pinned along with its values.  The enumerated exact run
+    # repeats a threshold: its summary keys tails by str(ell), once each.
+    RUNS = {
+        "simulate-listed": (
+            ["simulate", "--u", "8", "--b", "4", "--set", "random", "--set-size", "100",
+             "--trials", "50", "--thresholds", "2,4,8"], 58,
+            "669d045b38a399383c33b8555e27bf07ffefaca20a9a4ce76e9fc7d2838832b5",
+            "f3001275d6bdd9017b00ffd6973b57f5b297cf9299a4679c54228a99d95271c3"),
+        "simulate-linear": (
+            ["simulate", "--u", "6", "--b", "3", "--set", "affine", "--set-dim", "3"], 1006,
+            "840d773cd9fe754f410b0bd4158d0bc083135ebcc257d0caf2617c854e04d5fa",
+            "07a2c2ad2e4a9bf802e796d69b443ccd672b3737e5f432dc0f845e3012bd6ca4"),
+        "exact-enumerated": (
+            ["exact", "--u", "4", "--b", "2", "--set", "random", "--set-size", "6",
+             "--thresholds", "1,2,2,3"], 5,
+            "6dd50e1a7a40a15dcf904ad35787e3f4b347c28bc37e84b1dd4ccdf69165d532",
+            "1c496b04fb3a395d63bf87b5d63679d505b63fcb96297ce1e21b98fbefd51044"),
+        "exact-closed-form": (
+            ["exact", "--u", "6", "--b", "3", "--set", "affine", "--set-dim", "2",
+             "--thresholds", "2,4"], 3,
+            "9d4575f70aa602140f9da09f7bcfe58ee5591afe772a6543c9353ac635cc2161",
+            "0f0b91bb2b3807aa13051b0963e416762e28ea5f971e6f65167b65a23e1d0670"),
+        "table-bench": (
+            ["table-bench", "--u", "16", "--b", "3", "--keys", "random", "--n", "0,64,512",
+             "--seed", "4"], 12,
+            "2f4275885bda4875586dc9377fc6e8553df31cead0cd9a0437f52141c9ea46db",
+            "b44466d8ec5d19f05e72edabf3e078d8ad284ab956168c83ab8498f9f2cc1c3f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_rows_and_summary_pinned(self, name, tmp_path, monkeypatch):
+        monkeypatch.delenv("LINBINS_SEED", raising=False)
+        argv, row_count, rows_digest, summary_digest = self.RUNS[name]
+        code, text = run_to_file(tmp_path, "run.json", argv + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(text)
+        assert len(doc["rows"]) == row_count
+        digests = [hashlib.sha256(json.dumps(doc[part], sort_keys=True).encode()).hexdigest()
+                   for part in ("rows", "summary")]
+        assert digests == [rows_digest, summary_digest]
+
+
 class TestSimulate:
     def test_csv_schema(self, tmp_path):
         code, text = run_to_file(tmp_path, "sim.csv", SIM_ARGS)

@@ -182,15 +182,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _row_base(config: ExperimentConfig, set_size: int) -> dict:
-    """The cells every simulate and exact row carries."""
-    return {
-        "u": config.universe_dim,
-        "b": config.bin_dim,
-        "set_kind": config.set_kind,
-        "set_size": set_size,
-        "seed": config.master_seed,
-    }
+def _row_base(args: argparse.Namespace, b: int, set_kind: str, set_size: int) -> dict:
+    """The cells every simulate, exact and table-bench row carries."""
+    return {"u": args.u, "b": b, "set_kind": set_kind, "set_size": set_size, "seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -201,47 +195,23 @@ def _row_base(config: ExperimentConfig, set_size: int) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     summary = estimate_tail(config, jobs=args.jobs)
-    base = _row_base(config, summary.set_size)
+    base = _row_base(args, args.b, args.set, summary.set_size)
     rows = [
         dict(base, experiment="simulate", trial=i, lbin=v)
         for i, v in enumerate(summary.lbin_values)
     ]
-    for name, value in (
-        ("mean", summary.mean),
-        ("median", summary.median),
-        ("max", summary.max_value),
-        ("p90", summary.quantiles["p90"]),
-        ("p99", summary.quantiles["p99"]),
-    ):
-        rows.append(dict(base, experiment=f"summary-{name}", lbin=value))
-    for tail in summary.tails:
-        rows.append(
-            dict(
-                base,
-                experiment="summary-tail",
-                threshold=tail.threshold,
-                freq=tail.frequency,
-                ci_lo=tail.ci_low,
-                ci_hi=tail.ci_high,
-            )
-        )
-    json_summary = {
-        "set": summary.set_descriptor,
-        "mean": summary.mean,
-        "median": summary.median,
-        "max": summary.max_value,
-        "quantiles": summary.quantiles,
-        "tails": [
-            {
-                "threshold": t.threshold,
-                "frequency": t.frequency,
-                "ci_lo": t.ci_low,
-                "ci_hi": t.ci_high,
-            }
-            for t in summary.tails
-        ],
-    }
-    _emit(args, rows, _CSV_COLUMNS, json_summary)
+    stats = {"mean": summary.mean, "median": summary.median, "max": summary.max_value}
+    q = summary.quantiles
+    rows += [dict(base, experiment=f"summary-{name}", lbin=value)
+             for name, value in dict(stats, p90=q["p90"], p99=q["p99"]).items()]
+    # each tail once, as its CSV cells; the JSON summary spells freq out
+    tails = [{"threshold": t.threshold, "freq": t.frequency, "ci_lo": t.ci_low,
+              "ci_hi": t.ci_high} for t in summary.tails]
+    rows += [dict(base, experiment="summary-tail", **tail) for tail in tails]
+    json_tails = [{"frequency" if k == "freq" else k: v for k, v in tail.items()}
+                  for tail in tails]
+    _emit(args, rows, _CSV_COLUMNS,
+          dict(stats, set=summary.set_descriptor, quantiles=q, tails=json_tails))
     return 0
 
 
@@ -271,19 +241,15 @@ def cmd_exact(args: argparse.Namespace) -> int:
     S = build_ball_set(config)
     dist = exact_lbin_distribution(config.bin_dim, S)
     expected = _rational_str(distribution_mean(dist), "exact-mean")
-    base = _row_base(config, S.size)
+    base = _row_base(args, args.b, args.set, S.size)
     rows = [dict(base, experiment="exact-mean", lbin=expected)]
     tails = {}
     for ell in config.thresholds:
         p = _rational_str(distribution_tail(dist, ell), f"exact-tail at threshold {ell}")
-        tails[ell] = p
+        tails[str(ell)] = p
         rows.append(dict(base, experiment="exact-tail", threshold=ell, freq=p))
-    json_summary = {
-        "set": S.descriptor,
-        "expected_lbin": expected,
-        "tails": {str(k): v for k, v in tails.items()},
-    }
-    _emit(args, rows, _CSV_COLUMNS, json_summary)
+    _emit(args, rows, _CSV_COLUMNS,
+          {"set": S.descriptor, "expected_lbin": expected, "tails": tails})
     return 0
 
 
@@ -487,6 +453,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The four rows per --n: (experiment, CSV cell, TableStats field).  The JSON
+# summary's workload entry holds n, bucket_bits and these fields.
+TABLE_BENCH_ROWS = (
+    ("table-bench", "lbin", "max_chain"),
+    ("table-bench-resizes", "lbin", "resizes"),
+    ("table-bench-probes-hit", "freq", "mean_probes_hit"),
+    ("table-bench-probes-miss", "freq", "mean_probes_miss"),
+)
+_WORKLOAD_FIELDS = ("bucket_bits", *(field for _, _, field in TABLE_BENCH_ROWS))
+
+
 def cmd_table_bench(args: argparse.Namespace) -> int:
     _require_dims(args)
     if args.n is None:
@@ -513,31 +490,10 @@ def cmd_table_bench(args: argparse.Namespace) -> int:
             for _ in range(S.size):
                 table.get(GF2Vector(args.u, rng.getrandbits(args.u)))
         stats = table.stats()
-        base = {
-            "u": args.u,
-            "b": stats.bucket_bits,
-            "set_kind": args.keys,
-            "set_size": n,
-            "seed": args.seed,
-        }
-        rows.append(dict(base, experiment="table-bench", lbin=stats.max_chain))
-        rows.append(dict(base, experiment="table-bench-resizes", lbin=stats.resizes))
-        rows.append(
-            dict(base, experiment="table-bench-probes-hit", freq=stats.mean_probes_hit)
-        )
-        rows.append(
-            dict(base, experiment="table-bench-probes-miss", freq=stats.mean_probes_miss)
-        )
-        summaries.append(
-            {
-                "n": n,
-                "bucket_bits": stats.bucket_bits,
-                "max_chain": stats.max_chain,
-                "resizes": stats.resizes,
-                "mean_probes_hit": stats.mean_probes_hit,
-                "mean_probes_miss": stats.mean_probes_miss,
-            }
-        )
+        base = _row_base(args, stats.bucket_bits, args.keys, n)
+        rows += [dict(base, experiment=experiment, **{cell: getattr(stats, field)})
+                 for experiment, cell, field in TABLE_BENCH_ROWS]
+        summaries.append(dict(n=n, **{f: getattr(stats, f) for f in _WORKLOAD_FIELDS}))
     _emit(args, rows, _CSV_COLUMNS, {"workloads": summaries})
     return 0
 

@@ -269,6 +269,48 @@ class TestExponentMargin:
         assert all(signs[signs.index(True):])
 
 
+def least_holding_r(b):
+    """r0(b): the least integer r >= 4 with tail_exponent_margin(b, r) >= 0.
+
+    The margin rises with r for r >= 4, so doubling brackets r0 and
+    bisection finds it.
+    """
+    lo, hi = 4, 8  # margin(b, lo) < 0 <= margin(b, hi) once bracketed
+    while tail_exponent_margin(b, hi) < 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_exponent_margin(b, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestThresholdLinearInB:
+    """The paper's O(log n) claim on these evaluators: r0(b) = O(b).
+
+    A margin that grew like b log b (the log log n factor the paper removes)
+    would push r0/b past 7 and make it rise with b.
+    """
+
+    def test_ratio_bounded_up_to_4096(self):
+        for b in range(1, 4097):
+            r0 = least_holding_r(b)
+            assert r0 > 4
+            assert tail_exponent_margin(b, r0 - 1) < 0 <= tail_exponent_margin(b, r0)
+            assert r0 / b <= 7, b
+
+    def test_ratio_falls_as_b_doubles(self):
+        ratios = [least_holding_r(1 << k) / (1 << k) for k in range(21)]
+        assert all(later <= earlier for earlier, later in zip(ratios, ratios[1:])), ratios
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 8, 100, 4096, 1 << 20])
+    def test_instantiation_at_r0(self, b):
+        f, _ = tail_bound_parameters(b, least_holding_r(b), 0.5)
+        assert f > b
+
+
 class TestPurity:
     def test_bit_identical_repeats(self):
         assert bound_tail(8, 256, 0.5) == bound_tail(8, 256, 0.5)

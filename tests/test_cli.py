@@ -18,8 +18,6 @@ from linbins import __version__, ballsbins, cli
 from linbins.ballsbins import RNG_ALGORITHM, SEED_SCHEME
 from linbins.cli import CSV_HEADER, VERIFY_CHECKS, main, parse_args
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-
 
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
@@ -490,19 +488,6 @@ class TestVerify:
 
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "nope"]) == 1
-
-    @pytest.mark.parametrize("argv,golden,code", [
-        (["verify"], "verify-default.txt", 0),
-        (["verify", "--seed", "7"], "verify-seed7.txt", 0),
-        (["verify", "--seed", "99", "--instances", "300"], "verify-seed99-i300.txt", 0),
-        (["verify", "--check", "composition-uniformity", "--inject-fault"],
-         "verify-composition-fault.txt", 3),
-        (["verify", "--seed", "3", "--instances", "40"], "verify-seed3-i40.txt", 0),
-    ])
-    def test_stdout_pinned(self, argv, golden, code, capsys, monkeypatch):
-        monkeypatch.delenv("LINBINS_SEED", raising=False)
-        assert main(argv) == code
-        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize("flag", [
         ["--out", "verify.txt"], ["--format", "json"],

@@ -1,8 +1,9 @@
-"""Golden data rows: CLI output pinned byte for byte across refactors.
+"""Golden output: CLI stdout pinned byte for byte across refactors.
 
-Each fixture under tests/golden/ holds the CSV data rows (the `# manifest:`
-line, the only line allowed to vary, stripped) of one small run.  The
-simulate runs cover the scalar apply path (fewer than BATCH_MIN balls) and the
+Each fixture under tests/golden/ holds the stdout of one small run, with the
+`# manifest:` line (the only line allowed to vary) stripped: CSV data rows for
+simulate, exact, bounds and table-bench, and the PASS/FAIL lines of verify.
+The simulate runs cover the scalar apply path (fewer than BATCH_MIN balls) and the
 batch path at in_dim 8, 12 and 24 (one, two and three byte chunks) and on
 random sets whose images span two output bytes (u 32, b 16) and two 64-bit
 words (u 72, b 70), plus linear sets (subspace, affine, a power-of-two
@@ -16,11 +17,18 @@ The table-bench runs cover keys of one byte (one byte table) and of 70 bits
 (nine byte tables, the last one partial).
 The exact runs cover enumerated (interval, random, cluster) and linear sets,
 the interval [0, 2^k) among them, and an enumerated interval at u*b = 15.
+The verify runs cover the default, three seeds with their instance counts,
+and the injected fault, which exits 3.
+Every run reads no LINBINS_SEED, so a run without --seed uses the default.
+CI replays every entry of GOLDEN through `python -m linbins.cli`.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only for a
-deliberate, documented change of rows.
+deliberate, documented change of output.
 """
 
+import io
+import os
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -92,29 +100,46 @@ GOLDEN = {
                                  "--n", "200", "--seed", "4"],
     "table-bench-u70-partial-byte": ["table-bench", "--u", "70", "--b", "3",
                                      "--keys", "random", "--n", "300", "--seed", "4"],
+    "verify-default": ["verify"],
+    "verify-seed7": ["verify", "--seed", "7"],
+    "verify-seed99-i300": ["verify", "--seed", "99", "--instances", "300"],
+    "verify-composition-fault": ["verify", "--check", "composition-uniformity",
+                                 "--inject-fault"],
+    "verify-seed3-i40": ["verify", "--seed", "3", "--instances", "40"],
 }
 
+# A golden run exits 0 unless it is named here (3: a verification failed).
+EXIT_CODES = {"verify-composition-fault": 3}
 
-def data_rows(argv, out: Path) -> bytes:
-    assert main(argv + ["--out", str(out)]) == 0
-    return b"".join(
-        line for line in out.read_bytes().splitlines(keepends=True)
+
+def golden_file(name: str) -> Path:
+    """verify prints lines of text; every other subcommand prints CSV."""
+    return GOLDEN_DIR / (name + (".txt" if GOLDEN[name][0] == "verify" else ".csv"))
+
+
+def golden_output(argv) -> tuple[int, bytes]:
+    """A run's exit code and its stdout without the `# manifest:` line."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, b"".join(
+        line for line in out.getvalue().encode().splitlines(keepends=True)
         if not line.startswith(b"# manifest:")
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_rows_match_golden(name, tmp_path):
-    want = (GOLDEN_DIR / f"{name}.csv").read_bytes()
-    assert data_rows(GOLDEN[name], tmp_path / "out.csv") == want
+def test_rows_match_golden(name, monkeypatch):
+    monkeypatch.delenv("LINBINS_SEED", raising=False)
+    want = (EXIT_CODES.get(name, 0), golden_file(name).read_bytes())
+    assert golden_output(GOLDEN[name]) == want
 
 
 if __name__ == "__main__":
-    import tempfile
-
+    os.environ.pop("LINBINS_SEED", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in sorted(GOLDEN.items()):
-            rows = data_rows(argv, Path(tmp) / "out.csv")
-            (GOLDEN_DIR / f"{name}.csv").write_bytes(rows)
-            print(f"wrote {name}.csv ({len(rows.splitlines())} lines)")
+    for name, argv in sorted(GOLDEN.items()):
+        code, output = golden_output(argv)
+        assert code == EXIT_CODES.get(name, 0), (name, code)
+        golden_file(name).write_bytes(output)
+        print(f"wrote {golden_file(name).name} ({len(output.splitlines())} lines)")

@@ -140,6 +140,8 @@ class BallSet:
 
     def __post_init__(self) -> None:
         u, kind, basis = self.universe_dim, self.kind, self.basis_bits
+        if kind not in SET_KINDS:
+            raise ValueError(f"unknown set kind {kind!r} (choose from {SET_KINDS})")
         if kind in LINEAR_KINDS:
             if self.listed_bits is not None or basis is None:
                 raise ValueError(f"a {kind} set takes a basis and no member list")
@@ -323,9 +325,7 @@ def generate_set(kind: str, universe_dim: int, size_or_dim: int,
                         basis_bits=basis_bits, shift_bits=shift_bits)
 
     # cluster: a low-dimensional core subspace plus random distinct noise
-    core_dim = min(universe_dim, max(0, (size.bit_length() - 1) // 2))
-    while (1 << core_dim) > size:
-        core_dim -= 1
+    core_dim = (size.bit_length() - 1) // 2  # 2^core_dim <= sqrt(size) <= 2^(u/2)
     basis_bits = tuple(_sample_independent(universe_dim, core_dim, rng))
     span = _span(basis_bits)
     noise = _sample_distinct(universe_dim, size - len(span), rng, frozenset(span))

@@ -93,10 +93,6 @@ class LinearHashTable:
         self._miss_probes = 0
 
     @property
-    def key_bits(self) -> int:
-        return self._key_bits
-
-    @property
     def bucket_bits(self) -> int:
         return self._bucket_bits
 

@@ -604,6 +604,15 @@ class TestRankRoute:
         with pytest.raises(ValueError, match=match):
             BallSet(*args)
 
+    @pytest.mark.parametrize("args", [
+        (3, (0, 1, 2, 3), "bogus"),
+        (3, (0, 1, 2, 3), "Random"),
+        (3, None, "linear", (1, 2)),
+    ])
+    def test_unknown_kind_rejected(self, args):
+        with pytest.raises(ValueError, match=r"^unknown set kind '\w+' \(choose from "):
+            BallSet(*args)
+
     def test_members_are_the_shifted_span(self):
         # values in order: an array of members never equals a tuple
         assert list(BallSet(3, None, "subspace", (2, 1)).member_bits) == [0, 2, 1, 3]

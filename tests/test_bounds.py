@@ -290,7 +290,7 @@ def least_holding_r(b):
 class TestThresholdLinearInB:
     """The paper's O(log n) claim on these evaluators: r0(b) = O(b).
 
-    A margin that grew like b log b (the log log n factor the paper removes)
+    An r0 that grew like b log b (the log log n factor the paper removes)
     would push r0/b past 7 and make it rise with b.
     """
 
